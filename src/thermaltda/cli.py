@@ -61,6 +61,10 @@ class NumericalFailure(click.ClickException):
     exit_code = 3
 
 
+NON_NEGATIVE = click.FloatRange(min=0.0)
+POSITIVE = click.FloatRange(min=0.0, min_open=True)
+
+
 def _meta(command: str, **options) -> dict:
     return {
         "tool": "thermaltda",
@@ -157,10 +161,10 @@ def cmd_random_complex(n, edge_prob, max_dim, seed, out_path):
 @click.option("--corpus", "corpus_name", type=click.Choice(sorted(CORPUS)), default=None)
 @click.option("--k", type=int, required=True)
 @click.option("--method", type=click.Choice(["exact", "thermal", "swap"]), default="exact", show_default=True)
-@click.option("--beta", type=float, default=None, help="inverse temperature (default: 4x threshold)")
-@click.option("--criterion", type=float, default=DEFAULT_CRITERION, show_default=True)
+@click.option("--beta", type=NON_NEGATIVE, default=None, help="inverse temperature (default: 4x threshold)")
+@click.option("--criterion", type=POSITIVE, default=DEFAULT_CRITERION, show_default=True)
 @click.option("--guard", type=float, default=DEFAULT_FLOOR_GUARD, show_default=True)
-@click.option("--shots", type=int, default=10**6, show_default=True)
+@click.option("--shots", type=click.IntRange(min=1), default=10**6, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def cmd_betti(input_path, corpus_name, k, method, beta, criterion, guard, shots, seed, out_path):
@@ -208,7 +212,7 @@ def cmd_betti(input_path, corpus_name, k, method, beta, criterion, guard, shots,
 @click.option("--beta-min", type=float, default=0.01, show_default=True)
 @click.option("--beta-max", type=float, default=10.0, show_default=True)
 @click.option("--beta-steps", type=int, default=50, show_default=True)
-@click.option("--criterion", type=float, default=DEFAULT_CRITERION, show_default=True)
+@click.option("--criterion", type=POSITIVE, default=DEFAULT_CRITERION, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def cmd_sweep(input_path, corpus_name, k, beta_min, beta_max, beta_steps, criterion, out_path):
     """Thermal estimates along a log grid of inverse temperatures (CSV)."""
@@ -246,7 +250,7 @@ def cmd_sweep(input_path, corpus_name, k, beta_min, beta_max, beta_steps, criter
 @click.option("--n", type=int, default=10, show_default=True)
 @click.option("--k", "ks", type=int, multiple=True, default=(1, 2, 3, 4), show_default=True)
 @click.option("--instances", type=int, default=300, show_default=True)
-@click.option("--criterion", type=float, default=DEFAULT_CRITERION, show_default=True)
+@click.option("--criterion", type=POSITIVE, default=DEFAULT_CRITERION, show_default=True)
 @click.option("--edge-prob-lo", type=float, default=0.3, show_default=True)
 @click.option("--edge-prob-hi", type=float, default=0.9, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -286,12 +290,14 @@ def cmd_scaling(n, ks, instances, criterion, edge_prob_lo, edge_prob_hi, seed, o
 @click.option("--input", "input_path", type=click.Path(), default=None)
 @click.option("--corpus", "corpus_name", type=click.Choice(sorted(CORPUS)), default=None)
 @click.option("--k", type=int, required=True)
-@click.option("--beta", type=float, default=1.0, show_default=True, help="target inverse temperature")
+@click.option("--beta", type=NON_NEGATIVE, default=1.0, show_default=True, help="target inverse temperature")
 @click.option("--grid-m", type=int, default=32, show_default=True)
 @click.option("--steps", type=int, default=5, show_default=True, help="annealing steps after beta=0")
 @click.option("--out", "out_path", required=True, type=click.Path())
 def cmd_discriminant_check(input_path, corpus_name, k, beta, grid_m, steps, out_path):
     """Anneal the discriminant's top eigenvector toward the purification."""
+    if grid_m < 4 or grid_m % 2:
+        raise click.UsageError("--grid-m must be even and >= 4")
     cx = _read_complex(input_path, corpus_name)
     try:
         lap = combinatorial_laplacian(cx, k)

@@ -19,11 +19,11 @@ eigenvector is the canonical purification exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .swaptest import StateVector
+from .swaptest import StateVector, sqrt_gibbs
 
 MAX_DOUBLED_DIM = 4096  # D is (2^n)^2 x (2^n)^2: desk scale caps at n = 6
 
@@ -196,6 +196,8 @@ class DiscriminantModel:
     d_matrix: np.ndarray
     gammas: np.ndarray
     hermiticity_defect: float
+    h_eigenvalues: np.ndarray  # eigensystem of the Hamiltonian, reused downstream
+    h_eigenvectors: np.ndarray
 
 
 def pad_hamiltonian(laplacian: np.ndarray, min_qubits: int = 0) -> np.ndarray:
@@ -266,18 +268,26 @@ def build_discriminant(
         d_matrix=d_matrix,
         gammas=gammas,
         hermiticity_defect=defect,
+        h_eigenvalues=evals,
+        h_eigenvectors=evecs,
     )
+
+
+def _purification_vector(evals: np.ndarray, evecs: np.ndarray, beta: float) -> np.ndarray:
+    vec = sqrt_gibbs(evals, evecs, beta).reshape(-1)
+    return vec / np.linalg.norm(vec)
 
 
 def canonical_purification_vector(hamiltonian: np.ndarray, beta: float) -> np.ndarray:
     """Normalized doubled-register vector with amplitudes e^{-beta E_i/2} on
     paired eigenvectors; its reduced state is the thermal state at beta."""
-    evals, evecs = np.linalg.eigh(hamiltonian)
-    w = np.exp(-0.5 * beta * (evals - evals[0]))
-    w /= np.linalg.norm(w)
-    mat = (evecs * w) @ evecs.conj().T
-    vec = mat.reshape(-1)
-    return vec / np.linalg.norm(vec)
+    return _purification_vector(*np.linalg.eigh(hamiltonian), beta)
+
+
+def _fidelity(vec: np.ndarray, model: DiscriminantModel, beta: float) -> float:
+    """Squared overlap of vec with the purification of the model's H at beta."""
+    target = _purification_vector(model.h_eigenvalues, model.h_eigenvectors, beta)
+    return float(abs(np.vdot(vec, target)) ** 2)
 
 
 def top_eigenvector(model: DiscriminantModel) -> tuple[float, StateVector, float]:
@@ -288,10 +298,8 @@ def top_eigenvector(model: DiscriminantModel) -> tuple[float, StateVector, float
     """
     evals, evecs = np.linalg.eigh(model.d_matrix)
     vec = evecs[:, -1]
-    target = canonical_purification_vector(model.hamiltonian, model.beta)
-    fid = float(abs(np.vdot(vec, target)) ** 2)
     n_qubits = int(round(math.log2(vec.size)))
-    return 1.0 + float(evals[-1]), StateVector(vec, n_qubits), fid
+    return 1.0 + float(evals[-1]), StateVector(vec, n_qubits), _fidelity(vec, model, model.beta)
 
 
 @dataclass(frozen=True)
@@ -314,26 +322,7 @@ class AnnealingReport:
     final_fidelity: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "grid": {
-                "m_points": self.grid.m_points,
-                "omega0": self.grid.omega0,
-                "t0": self.grid.t0,
-            },
-            "steps": [
-                {
-                    "beta": s.beta,
-                    "sigma_t": s.sigma_t,
-                    "top_eigenvalue": s.top_eigenvalue,
-                    "fidelity": s.fidelity,
-                    "fidelity_half_beta": s.fidelity_half_beta,
-                    "overlap_prev": s.overlap_prev,
-                }
-                for s in self.steps
-            ],
-            "min_overlap": self.min_overlap,
-            "final_fidelity": self.final_fidelity,
-        }
+        return asdict(self)
 
 
 def annealing_path(
@@ -361,10 +350,7 @@ def annealing_path(
         window = gaussian_window(grid, default_sigma_t(beta, grid))
         model = build_discriminant(hamiltonian, jumps, grid, window, beta)
         top_val, state, fid = top_eigenvector(model)
-        fid_half = float(
-            abs(np.vdot(state.amplitudes,
-                        canonical_purification_vector(hamiltonian, beta / 2.0))) ** 2
-        )
+        fid_half = _fidelity(state.amplitudes, model, beta / 2.0)
         overlap = (
             None
             if prev_vec is None

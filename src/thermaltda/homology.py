@@ -10,7 +10,6 @@ boundary matrices themselves.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,9 +157,3 @@ def spectral_gap(spec: Spectrum) -> float:
     if above.size == 0:
         raise ZeroSpectrumError("all eigenvalues in the kernel: spectral gap undefined")
     return float(above[0])
-
-
-def save_spectrum(spec: Spectrum, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -13,7 +13,7 @@ reduced density matrices, a path verified to agree on the overlap region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,9 +21,8 @@ from .homology import Spectrum
 from .thermal import (
     DEFAULT_CRITERION,
     DEFAULT_FLOOR_GUARD,
-    cooling_rate,
     detect_trivial_kernel,
-    partition_terms,
+    spectral_sums,
 )
 
 # largest joint SWAP circuit: 4n+1 qubits with n = 4, i.e. m <= 16
@@ -54,6 +53,18 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
 
 
+def sqrt_gibbs(evals: np.ndarray, evecs: np.ndarray, beta: float) -> np.ndarray:
+    """Square root of the Gibbs state, sum_i w_i psi_i psi_i^dagger.
+
+    w_i = exp(-beta (E_i - E_0) / 2), normalized.  Read row-major, entry
+    (a, b) is the amplitude of |a>|b> in the canonical purification; the
+    swap test and the discriminant laboratory both build it here.
+    """
+    weights = np.exp(-0.5 * beta * (evals - evals[0]))
+    weights /= np.linalg.norm(weights)
+    return (evecs * weights) @ evecs.conj().T
+
+
 def purification_state(spec: Spectrum, beta: float) -> StateVector:
     """Canonical purification of the thermal state on a doubled register.
 
@@ -66,14 +77,8 @@ def purification_state(spec: Spectrum, beta: float) -> StateVector:
         raise ValueError("purification needs eigenvectors; recompute with with_vectors=True")
     m = spec.dim
     n = max(int(math.ceil(math.log2(m))), 0)
-    dim = 2**n
-    weights = np.exp(-0.5 * beta * (spec.eigenvalues - spec.eigenvalues[0]))
-    weights /= np.linalg.norm(weights)
-    # sum_i w_i psi_i psi_i^T, reshaped row-major: entry (a, b) is the
-    # amplitude of |a>|b>; real symmetric input gives real amplitudes
-    sqrt_rho = (spec.eigenvectors * weights) @ spec.eigenvectors.T
-    padded = np.zeros((dim, dim), dtype=complex)
-    padded[:m, :m] = sqrt_rho
+    padded = np.zeros((2**n, 2**n), dtype=complex)
+    padded[:m, :m] = sqrt_gibbs(spec.eigenvalues, spec.eigenvectors, beta)
     return StateVector(padded.reshape(-1), 2 * n)
 
 
@@ -193,18 +198,7 @@ class SwapBettiEstimate:
     converged: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "shots": self.shots,
-            "count0": self.count0,
-            "count1": self.count1,
-            "purity_estimate": self.purity_estimate,
-            "stderr": self.stderr,
-            "betti_floor": self.betti_floor,
-            "stable": self.stable,
-            "trivial_kernel": self.trivial_kernel,
-            "converged": self.converged,
-        }
+        return asdict(self)
 
 
 def _floor_of_inverse(purity_value: float, guard: float) -> int | None:
@@ -231,6 +225,7 @@ def betti_swap(
     override uses the exact normalized partition function of the spectrum,
     as in the spectral estimator.
     """
+    sums = spectral_sums(spec, beta)
     state = purification_state(spec, beta)
     if state.n_qubits // 2 <= MAX_CIRCUIT_SYSTEM_QUBITS:
         p0, _ = swap_test_probabilities(state, state)
@@ -238,9 +233,7 @@ def betti_swap(
         p0, _ = overlap_probabilities(state, state)
     result = swap_test_sample(p0, shots, seed)
 
-    _, _, z_norm = partition_terms(spec, beta)
-    m = spec.dim
-    trivial = detect_trivial_kernel(z_norm, m)
+    trivial = detect_trivial_kernel(float(sums.z_norm[0]), spec.dim)
     estimate = result.purity_estimate
     margin = STABILITY_BAND_SIGMAS * (2.0 * math.sqrt(p0 * (1.0 - p0) / shots))
     floor_mid = _floor_of_inverse(estimate, guard)
@@ -263,5 +256,5 @@ def betti_swap(
         betti_floor=floor,
         stable=stable,
         trivial_kernel=trivial,
-        converged=cooling_rate(spec, beta) <= criterion,
+        converged=float(sums.rate[0]) <= criterion,
     )

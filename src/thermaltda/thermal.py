@@ -1,25 +1,26 @@
 """Betti estimation from Gibbs-state purity of a Laplacian spectrum.
 
-The estimator is the floored inverse purity of exp(-beta * Laplacian),
-normalized; as beta grows the inverse purity descends monotonically to the
-kernel dimension.  The same partition sums yield the collision entropy,
-the Uhlmann fidelity against the maximally mixed state, and the squared
-Hilbert-Schmidt distance, so all four quantities are reported together.
-Everything here works on eigenvalues only and is exact up to floating
-point; shot noise lives in the swap-test module.
-
-All exponentials are taken against a spectrally shifted or log-sum-exp
-form, so beta up to 1e6 and eigenvalues up to 1e3 stay finite.
+One kernel, ``spectral_sums``, evaluates the partition sums of a spectrum
+along an array of inverse temperatures in a single pass: Z1 and Z2 (the
+shifted sums at beta and 2 beta), the normalized partition function z_norm
+and the cooling rate, the last two in log-sum-exp form so that beta up to
+1e6 and eigenvalues up to 1e3 stay finite.  It is the only place that
+checks beta >= 0.  Purity is Z2/Z1^2; its inverse descends monotonically
+to the kernel dimension as beta grows, and the floor is the Betti
+estimate.  Collision entropy, Uhlmann fidelity and Hilbert-Schmidt
+distance follow from the purity, so all are one-line views of the kernel.
+Everything here is exact up to floating point; shot noise lives in the
+swap-test module.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .homology import Spectrum, ZeroSpectrumError
 
@@ -33,24 +34,78 @@ SWEEP_CSV_HEADER = (
 )
 
 
-def partition_terms(spec: Spectrum, beta: float) -> tuple[float, float, float]:
-    """Shifted partition sums and the normalized partition function.
+class SpectralSums(NamedTuple):
+    """Partition sums of one spectrum, one entry per beta."""
 
-    Returns (Z1, Z2, z_norm) with Z1 = sum exp(-beta (lam - lam_min)),
-    Z2 the same at 2 beta, and z_norm = (1/m) sum exp(-beta lam) evaluated
-    in log space (unshifted, underflows gracefully to 0).
+    z1: np.ndarray  # sum exp(-beta (lam - lam_min))
+    z2: np.ndarray  # the same at 2 beta
+    z_norm: np.ndarray  # (1/m) sum exp(-beta lam); 0 once it underflows
+    rate: np.ndarray  # (1/m) sum lam exp(-beta lam); 0 once it underflows
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log sum exp along each row, in the arithmetic of scipy.special.logsumexp.
+
+    The tied maxima are counted and kept out of the sum s of the shifted
+    exponentials: log1p(s / count) + log(count) + max.
     """
+    a_max = a.max(axis=1, keepdims=True)
+    at_max = a == a_max
+    count = at_max.sum(axis=1, keepdims=True, dtype=float)
+    s = np.where(at_max, 0.0, np.exp(a - a_max)).sum(axis=1, keepdims=True)
+    return (np.log1p(s / count) + np.log(count) + a_max)[:, 0]
+
+
+def _exp_logs(logs: np.ndarray) -> np.ndarray:
+    """exp of each log value, 0 below the double range.
+
+    Per value through math.exp: np.exp differs from it in the last bit for
+    some inputs, which would change the z_norm written to output files.
+    """
+    return np.array([math.exp(v) if v > -745.0 else 0.0 for v in logs])
+
+
+def spectral_sums(spec: Spectrum, betas) -> SpectralSums:
+    """Z1, Z2, z_norm and the cooling rate at every beta, in one pass.
+
+    ``betas`` is a scalar or a 1-D array; each field has one entry per beta.
+    """
+    betas = np.atleast_1d(np.asarray(betas, dtype=float))[:, None]
+    if (betas < 0.0).any():
+        raise ValueError("beta must be >= 0")
     lam = spec.eigenvalues
+    log_m = math.log(lam.size)
     shifted = lam - lam[0]
-    z1 = float(np.exp(-beta * shifted).sum())
-    z2 = float(np.exp(-2.0 * beta * shifted).sum())
-    log_znorm = float(logsumexp(-beta * lam) - math.log(lam.size))
-    return z1, z2, math.exp(log_znorm) if log_znorm > -745.0 else 0.0
+    z1 = np.exp(-betas * shifted).sum(axis=1)
+    z2 = np.exp(-2.0 * betas * shifted).sum(axis=1)
+    z_norm = _exp_logs(_logsumexp_rows(-betas * lam) - log_m)
+    # sum lam e^{-beta lam} in log space; lam <= 0 terms contribute 0 or nothing
+    positive = lam[lam > 0.0]
+    if positive.size:
+        rate = _exp_logs(_logsumexp_rows(np.log(positive) - betas * positive) - log_m)
+    else:
+        rate = np.zeros(betas.shape[0])
+    return SpectralSums(z1, z2, z_norm, rate)
+
+
+def _at(spec: Spectrum, beta: float) -> SpectralSums:
+    """The kernel at one beta, as Python floats."""
+    return SpectralSums(*(float(v[0]) for v in spectral_sums(spec, beta)))
+
+
+def _check_dim(spec: Spectrum, m: int) -> None:
+    if m != spec.dim:
+        raise ValueError("m must equal the spectrum dimension")
+
+
+def partition_terms(spec: Spectrum, beta: float) -> tuple[float, float, float]:
+    """(Z1, Z2, z_norm) at one beta; see ``SpectralSums``."""
+    return _at(spec, beta)[:3]
 
 
 def purity(spec: Spectrum, beta: float) -> float:
     """Tr{rho_beta^2} = Z(2 beta)/Z(beta)^2; lies in [1/m, 1]."""
-    z1, z2, _ = partition_terms(spec, beta)
+    z1, z2, _, _ = _at(spec, beta)
     return z2 / (z1 * z1)
 
 
@@ -67,9 +122,8 @@ def uhlmann_fidelity(spec: Spectrum, tau: float, m: int) -> float:
     Equals Z1^2/(Z2 m), i.e. the inverse purity divided by the number of
     simplices; tau is the imaginary time, identified with beta.
     """
-    if m != spec.dim:
-        raise ValueError("m must equal the spectrum dimension")
-    z1, z2, _ = partition_terms(spec, tau)
+    _check_dim(spec, m)
+    z1, z2, _, _ = _at(spec, tau)
     return z1 * z1 / (z2 * m)
 
 
@@ -79,21 +133,13 @@ def hs_distance(spec: Spectrum, beta: float, m: int) -> float:
     Evaluates the definition directly: purity - 1/m.  Zero exactly at
     beta = 0 or for a flat spectrum.
     """
-    if m != spec.dim:
-        raise ValueError("m must equal the spectrum dimension")
+    _check_dim(spec, m)
     return purity(spec, beta) - 1.0 / m
 
 
 def cooling_rate(spec: Spectrum, tau: float) -> float:
     """|d/dtau| of the normalized partition function, (1/m) sum lam exp(-tau lam)."""
-    lam = spec.eigenvalues
-    positive = lam[lam > 0.0]
-    if positive.size == 0:
-        return 0.0
-    # sum lam e^{-tau lam} in log space; lam <= 0 terms contribute 0 or nothing
-    log_terms = np.log(positive) - tau * positive
-    val = float(logsumexp(log_terms)) - math.log(lam.size)
-    return math.exp(val) if val > -745.0 else 0.0
+    return _at(spec, tau).rate
 
 
 def detect_trivial_kernel(z_norm: float, m: int) -> bool:
@@ -114,8 +160,7 @@ def beta_threshold(
     bisection on the closed-form spectral expression, to relative precision
     1e-6.  The rate is non-increasing in tau on a PSD spectrum.
     """
-    if m != spec.dim:
-        raise ValueError("m must equal the spectrum dimension")
+    _check_dim(spec, m)
     if not np.any(spec.eigenvalues >= spec.tol_kernel):
         raise ZeroSpectrumError("cooling rate is identically zero: threshold undefined")
     if cooling_rate(spec, 0.0) <= criterion:
@@ -150,18 +195,7 @@ class ThermalEstimate:
     trivial_kernel: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "purity": self.purity,
-            "inverse_purity": self.inverse_purity,
-            "betti_floor": self.betti_floor,
-            "renyi2_nats": self.renyi2,
-            "fidelity": self.fidelity,
-            "hs_distance": self.hs_distance,
-            "z_norm": self.z_norm,
-            "converged": self.converged,
-            "trivial_kernel": self.trivial_kernel,
-        }
+        return {("renyi2_nats" if k == "renyi2" else k): v for k, v in asdict(self).items()}
 
 
 def betti_thermal(
@@ -177,26 +211,29 @@ def betti_thermal(
     When the normalized partition function signals an empty kernel, the
     floor is overridden to 0 and the raw inverse purity retained.
     """
-    if beta < 0.0:
-        raise ValueError("beta must be >= 0")
-    z1, z2, z_norm = partition_terms(spec, beta)
-    pur = z2 / (z1 * z1)
-    inv = 1.0 / pur
+    return _estimates(spec, np.array([beta], dtype=float), guard, criterion)[0]
+
+
+def _estimates(
+    spec: Spectrum, betas: np.ndarray, guard: float, criterion: float
+) -> list[ThermalEstimate]:
+    """One ThermalEstimate per entry of a 1-D beta array, from one kernel call."""
+    sums = spectral_sums(spec, betas)
     m = spec.dim
-    trivial = detect_trivial_kernel(z_norm, m)
-    floor = 0 if trivial else int(math.floor(inv + guard))
-    return ThermalEstimate(
-        beta=beta,
-        purity=pur,
-        inverse_purity=inv,
-        betti_floor=floor,
-        renyi2=renyi2(pur),
-        fidelity=inv / m,
-        hs_distance=pur - 1.0 / m,
-        z_norm=z_norm,
-        converged=cooling_rate(spec, beta) <= criterion,
-        trivial_kernel=trivial,
-    )
+    estimates = []
+    for beta, z1, z2, z_norm, rate in zip(betas.tolist(), *(v.tolist() for v in sums)):
+        pur = z2 / (z1 * z1)
+        inv = 1.0 / pur
+        trivial = detect_trivial_kernel(z_norm, m)
+        estimates.append(
+            ThermalEstimate(
+                beta=beta, purity=pur, inverse_purity=inv,
+                betti_floor=0 if trivial else int(math.floor(inv + guard)),
+                renyi2=renyi2(pur), fidelity=inv / m, hs_distance=pur - 1.0 / m,
+                z_norm=z_norm, converged=rate <= criterion, trivial_kernel=trivial,
+            )
+        )
+    return estimates
 
 
 @dataclass(frozen=True)
@@ -221,7 +258,7 @@ def sweep(
         threshold = beta_threshold(spec, spec.dim, criterion)
     except ZeroSpectrumError:
         threshold = None
-    estimates = [betti_thermal(spec, float(b), criterion=criterion) for b in grid]
+    estimates = _estimates(spec, grid, DEFAULT_FLOOR_GUARD, criterion)
     return SweepResult(betas=grid, estimates=estimates, beta_threshold=threshold)
 
 

@@ -280,6 +280,33 @@ class TestDiscriminantCheck:
         assert "cap" in result.output
 
 
+class TestBadInput:
+    """Out-of-range options exit 2 with a usage error, never a traceback."""
+
+    HOLLOW = ("--corpus", "hollow-triangle", "--k", 1)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("betti", *HOLLOW, "--method", "swap", "--shots", 0),
+            ("betti", *HOLLOW, "--method", "thermal", "--beta", -1),
+            ("betti", *HOLLOW, "--method", "swap", "--beta", -1),
+            ("betti", *HOLLOW, "--method", "thermal", "--criterion", 0),
+            ("sweep", *HOLLOW, "--criterion", -1, "--out", "OUT"),
+            ("scaling", "--n", 4, "--instances", 1, "--criterion", -1, "--out", "OUT"),
+            ("discriminant-check", *HOLLOW, "--grid-m", 3, "--out", "OUT"),
+            ("discriminant-check", *HOLLOW, "--beta", -1, "--out", "OUT"),
+        ],
+        ids=lambda args: " ".join(str(a) for a in args if a not in ("--out", "OUT")),
+    )
+    def test_exits_2(self, runner, tmp_path, args):
+        out = tmp_path / "out"
+        result = invoke(runner, *(out if a == "OUT" else a for a in args))
+        assert result.exit_code == 2, result.output
+        assert "Error:" in result.output
+        assert not out.exists()
+
+
 class TestMeta:
     def test_outputs_carry_reproduction_metadata(self, runner):
         result = invoke(runner, "betti", "--corpus", "hollow-triangle", "--k", 1)

@@ -220,6 +220,11 @@ class TestBettiSwap:
         assert floors <= {3, 4}
         assert not all(stables)
 
+    def test_negative_beta_rejected(self, corpus):
+        spec = spectrum(combinatorial_laplacian(corpus["hollow-triangle"], 1), with_vectors=True)
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            betti_swap(spec, -1.0, shots=1000, seed=0)
+
     def test_single_shot_is_unstable(self):
         spec = spec_with_vectors([0.0, 1.0])
         est = betti_swap(spec, beta=1.0, shots=1, seed=2)

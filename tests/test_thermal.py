@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import logsumexp
 
 from conftest import CORPUS_BETTI, random_complex_family, random_spectra
 from thermaltda.complexes import random_complex
@@ -24,6 +25,7 @@ from thermaltda.thermal import (
     partition_terms,
     purity,
     renyi2,
+    spectral_sums,
     sweep,
     uhlmann_fidelity,
     write_sweep_csv,
@@ -48,6 +50,53 @@ def hollow_purity(beta):
 def gibbs_matrix(laplacian, beta):
     rho = expm(-beta * laplacian)
     return rho / np.trace(rho)
+
+
+class TestSpectralSums:
+    BETAS = [0.0, 0.01, 0.5, 2.0, 50.0, 1e3, 1e6]
+
+    @staticmethod
+    def scipy_reference(spec, beta):
+        """z_norm and rate as the scipy logsumexp expressions they replay."""
+        lam = spec.eigenvalues
+        log_m = math.log(lam.size)
+        log_znorm = float(logsumexp(-beta * lam) - log_m)
+        positive = lam[lam > 0.0]
+        if positive.size == 0:
+            return math.exp(log_znorm) if log_znorm > -745.0 else 0.0, 0.0
+        log_rate = float(logsumexp(np.log(positive) - beta * positive)) - log_m
+        return (
+            math.exp(log_znorm) if log_znorm > -745.0 else 0.0,
+            math.exp(log_rate) if log_rate > -745.0 else 0.0,
+        )
+
+    def test_matches_scipy_logsumexp(self):
+        for spec in random_spectra(60) + [HOLLOW, FLAT3, spec_of([0.0, 0.0])]:
+            betas = list(self.BETAS)
+            if np.any(spec.eigenvalues >= spec.tol_kernel):
+                threshold = beta_threshold(spec, spec.dim)
+                betas += [threshold, 4.0 * threshold]
+            sums = spectral_sums(spec, np.array(betas))
+            shifted = spec.eigenvalues - spec.eigenvalues[0]
+            for i, beta in enumerate(betas):
+                z_norm, rate = self.scipy_reference(spec, beta)
+                assert sums.z_norm[i] == z_norm
+                assert sums.rate[i] == rate
+                assert sums.z1[i] == np.exp(-beta * shifted).sum()
+                assert sums.z2[i] == np.exp(-2.0 * beta * shifted).sum()
+
+    @pytest.mark.parametrize(
+        "view",
+        [
+            lambda: spectral_sums(HOLLOW, [1.0, -0.5]),
+            lambda: partition_terms(HOLLOW, -1.0),
+            lambda: purity(HOLLOW, -1.0),
+            lambda: cooling_rate(HOLLOW, -1.0),
+        ],
+    )
+    def test_negative_beta_rejected(self, view):
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            view()
 
 
 class TestPartitionTerms:
@@ -263,6 +312,18 @@ class TestSweep:
         assert result.beta_threshold == pytest.approx(math.log(2000.0) / 3.0, rel=2e-6)
         for est in result.estimates:
             assert est.converged == (est.beta >= result.beta_threshold * (1 - 1e-9))
+
+    def test_rows_equal_one_point_estimates(self):
+        grid = np.logspace(-3, 3, 25)
+        specs = [HOLLOW, FLAT3, spec_of([0.0, 0.0, 0.0])] + [
+            spectrum(combinatorial_laplacian(cx, 1))
+            for cx in random_complex_family(20)
+            if cx.num_simplices(1) > 0
+        ]
+        for spec in specs:
+            result = sweep(spec, grid)
+            for beta, row in zip(grid, result.estimates):
+                assert row == betti_thermal(spec, float(beta))
 
     def test_single_point_grid(self):
         result = sweep(HOLLOW, [0.0])
