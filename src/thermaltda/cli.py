@@ -11,7 +11,6 @@ numerical failure.
 from __future__ import annotations
 
 import json
-import sys
 
 import click
 import numpy as np
@@ -61,8 +60,20 @@ class NumericalFailure(click.ClickException):
     exit_code = 3
 
 
-NON_NEGATIVE = click.FloatRange(min=0.0)
-POSITIVE = click.FloatRange(min=0.0, min_open=True)
+class FiniteFloatRange(click.FloatRange):
+    """FloatRange that also rejects NaN, which passes every range comparison, and +-inf."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if not np.isfinite(rv):
+            self.fail(f"{rv} is not a finite number.", param, ctx)
+        return rv
+
+
+NON_NEGATIVE = FiniteFloatRange(min=0.0)
+POSITIVE = FiniteFloatRange(min=0.0, min_open=True)
+# a guard of 1/2 or more floors an inverse purity half a level above b to b + 1
+FLOOR_GUARD = FiniteFloatRange(min=0.0, max=0.5, max_open=True)
 
 
 def _meta(command: str, **options) -> dict:
@@ -92,7 +103,9 @@ def _read_complex(input_path, corpus_name) -> SimplicialComplex:
         return SimplicialComplex.load(input_path)
     except FileNotFoundError as exc:
         raise click.UsageError(f"complex file not found: {exc}") from exc
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    # JSONDecodeError is a ValueError; AttributeError and TypeError come from a
+    # list or a number where the format has a mapping or a simplex
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise click.UsageError(f"invalid complex file: {exc}") from exc
 
 
@@ -163,7 +176,7 @@ def cmd_random_complex(n, edge_prob, max_dim, seed, out_path):
 @click.option("--method", type=click.Choice(["exact", "thermal", "swap"]), default="exact", show_default=True)
 @click.option("--beta", type=NON_NEGATIVE, default=None, help="inverse temperature (default: 4x threshold)")
 @click.option("--criterion", type=POSITIVE, default=DEFAULT_CRITERION, show_default=True)
-@click.option("--guard", type=float, default=DEFAULT_FLOOR_GUARD, show_default=True)
+@click.option("--guard", type=FLOOR_GUARD, default=DEFAULT_FLOOR_GUARD, show_default=True)
 @click.option("--shots", type=click.IntRange(min=1), default=10**6, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
@@ -291,13 +304,14 @@ def cmd_scaling(n, ks, instances, criterion, edge_prob_lo, edge_prob_hi, seed, o
 @click.option("--corpus", "corpus_name", type=click.Choice(sorted(CORPUS)), default=None)
 @click.option("--k", type=int, required=True)
 @click.option("--beta", type=NON_NEGATIVE, default=1.0, show_default=True, help="target inverse temperature")
-@click.option("--grid-m", type=int, default=32, show_default=True)
-@click.option("--steps", type=int, default=5, show_default=True, help="annealing steps after beta=0")
+# the operator Fourier transform holds an M x M phase matrix: 16 MB at the cap
+@click.option("--grid-m", type=click.IntRange(min=4, max=1024), default=32, show_default=True)
+@click.option("--steps", type=click.IntRange(min=1), default=5, show_default=True, help="annealing steps after beta=0")
 @click.option("--out", "out_path", required=True, type=click.Path())
 def cmd_discriminant_check(input_path, corpus_name, k, beta, grid_m, steps, out_path):
     """Anneal the discriminant's top eigenvector toward the purification."""
-    if grid_m < 4 or grid_m % 2:
-        raise click.UsageError("--grid-m must be even and >= 4")
+    if grid_m % 2:
+        raise click.UsageError("--grid-m must be even")
     cx = _read_complex(input_path, corpus_name)
     try:
         lap = combinatorial_laplacian(cx, k)
@@ -315,8 +329,10 @@ def cmd_discriminant_check(input_path, corpus_name, k, beta, grid_m, steps, out_
         schedule = [0.0]
     try:
         report = annealing_path(padded, jumps, grid_m, schedule)
-    except np.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass: catch it first
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
+    except ValueError as exc:  # a single-level Hamiltonian leaves no frequency grid
+        raise click.UsageError(f"cannot build the discriminant: {exc}") from exc
     payload = {
         "grid_m": grid_m,
         "beta_target": beta,

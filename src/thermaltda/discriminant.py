@@ -138,17 +138,17 @@ def _fourier_components(
     grid: FrequencyGrid,
     window: GaussianWindow,
 ) -> np.ndarray:
-    """Stack of A(omega) over grid.omegas, computed in the H eigenbasis."""
+    """Stack of A(omega) over grid.omegas, computed in the H eigenbasis.
+
+    The smeared phases sum_t f(t) e^{i(omega + E_a - E_b)t} of all grid
+    frequencies are one (omega, t) x (t, ab) matrix product.
+    """
     in_basis = evecs.conj().T @ op @ evecs
-    gaps = evals[:, None] - evals[None, :]
+    gaps = (evals[:, None] - evals[None, :]).reshape(-1)
     times = grid.times
-    f = window.weights
-    sqrt_m = math.sqrt(grid.m_points)
-    out = np.empty((grid.m_points, op.shape[0], op.shape[1]), dtype=complex)
-    for idx, omega in enumerate(grid.omegas):
-        smear = np.tensordot(f, np.exp(1j * np.multiply.outer(times, gaps + omega)), axes=1)
-        out[idx] = evecs @ (in_basis * smear / sqrt_m) @ evecs.conj().T
-    return out
+    weighted = window.weights * np.exp(1j * np.multiply.outer(grid.omegas, times))
+    smear = (weighted @ np.exp(1j * np.multiply.outer(times, gaps))).reshape(-1, *op.shape)
+    return evecs @ (in_basis * smear / math.sqrt(grid.m_points)) @ evecs.conj().T
 
 
 def operator_fourier(
@@ -186,13 +186,10 @@ def metropolis_weights(grid: FrequencyGrid, beta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscriminantModel:
-    """Assembled discriminant matrix with its ingredients."""
+    """Assembled discriminant matrix with its rates and the eigensystem of H."""
 
     hamiltonian: np.ndarray
     beta: float
-    grid: FrequencyGrid
-    window: GaussianWindow
-    jumps: JumpSet
     d_matrix: np.ndarray
     gammas: np.ndarray
     hermiticity_defect: float
@@ -245,26 +242,25 @@ def build_discriminant(
     gammas = metropolis_weights(grid, beta)
     gammas_neg = np.array([metropolis_weight(-w, beta) for w in grid.omegas])
     sym_rates = np.sqrt(gammas * gammas_neg)
-    eye = np.eye(dim, dtype=complex)
-    d_matrix = np.zeros((dim * dim, dim * dim), dtype=complex)
+    decay_rates = gammas.copy()
+    decay_rates[0] = sym_rates[0]
+    # coherent[(i, j), (k, l)] = sum_omega rate A[i, j] conj(A[k, l])
+    coherent = np.zeros((dim * dim, dim * dim), dtype=complex)
+    norm_term = np.zeros((dim, dim), dtype=complex)
     for op in jumps.operators:
         comps = _fourier_components(op, evals, evecs, grid, window)
-        for idx in range(grid.m_points):
-            a_w = comps[idx]
-            decay_rate = sym_rates[idx] if idx == 0 else gammas[idx]
-            norm_term = a_w.conj().T @ a_w
-            d_matrix += sym_rates[idx] * np.kron(a_w, a_w.conj())
-            d_matrix -= 0.5 * decay_rate * (
-                np.kron(norm_term, eye) + np.kron(eye, norm_term.conj())
-            )
-    d_matrix /= len(jumps.operators)
+        flat = comps.reshape(grid.m_points, dim * dim)
+        coherent += (flat.T * sym_rates) @ flat.conj()
+        norm_term += np.tensordot(decay_rates, comps.conj().transpose(0, 2, 1) @ comps, axes=1)
+    # reorder to the kron(A, conj A) index ((i, k), (j, l))
+    coherent = coherent.reshape((dim,) * 4).transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
+    eye = np.eye(dim, dtype=complex)
+    decay = 0.5 * (np.kron(norm_term, eye) + np.kron(eye, norm_term.conj()))
+    d_matrix = (coherent - decay) / len(jumps.operators)
     defect = float(np.abs(d_matrix - d_matrix.conj().T).max())
     return DiscriminantModel(
         hamiltonian=hamiltonian,
         beta=beta,
-        grid=grid,
-        window=window,
-        jumps=jumps,
         d_matrix=d_matrix,
         gammas=gammas,
         hermiticity_defect=defect,
@@ -273,20 +269,15 @@ def build_discriminant(
     )
 
 
-def _purification_vector(evals: np.ndarray, evecs: np.ndarray, beta: float) -> np.ndarray:
-    vec = sqrt_gibbs(evals, evecs, beta).reshape(-1)
-    return vec / np.linalg.norm(vec)
-
-
 def canonical_purification_vector(hamiltonian: np.ndarray, beta: float) -> np.ndarray:
     """Normalized doubled-register vector with amplitudes e^{-beta E_i/2} on
     paired eigenvectors; its reduced state is the thermal state at beta."""
-    return _purification_vector(*np.linalg.eigh(hamiltonian), beta)
+    return sqrt_gibbs(*np.linalg.eigh(hamiltonian), beta).reshape(-1)
 
 
 def _fidelity(vec: np.ndarray, model: DiscriminantModel, beta: float) -> float:
     """Squared overlap of vec with the purification of the model's H at beta."""
-    target = _purification_vector(model.h_eigenvalues, model.h_eigenvectors, beta)
+    target = sqrt_gibbs(model.h_eigenvalues, model.h_eigenvectors, beta).reshape(-1)
     return float(abs(np.vdot(vec, target)) ** 2)
 
 

@@ -280,10 +280,16 @@ class TestDiscriminantCheck:
         assert "cap" in result.output
 
 
+class ComplexFile(str):
+    """JSON text that a test writes to a file and passes by path."""
+
+
 class TestBadInput:
-    """Out-of-range options exit 2 with a usage error, never a traceback."""
+    """Out-of-range options and malformed inputs exit 2 with a usage error,
+    never a traceback."""
 
     HOLLOW = ("--corpus", "hollow-triangle", "--k", 1)
+    THERMAL = ("betti", *HOLLOW, "--method", "thermal")
 
     @pytest.mark.parametrize(
         "args",
@@ -296,12 +302,37 @@ class TestBadInput:
             ("scaling", "--n", 4, "--instances", 1, "--criterion", -1, "--out", "OUT"),
             ("discriminant-check", *HOLLOW, "--grid-m", 3, "--out", "OUT"),
             ("discriminant-check", *HOLLOW, "--beta", -1, "--out", "OUT"),
+            ("discriminant-check", *HOLLOW, "--grid-m", 1026, "--out", "OUT"),
+            ("discriminant-check", *HOLLOW, "--grid-m", 9, "--out", "OUT"),
+            ("discriminant-check", *HOLLOW, "--steps", 0, "--beta", 2, "--out", "OUT"),
+            ("discriminant-check", *HOLLOW, "--steps", -3, "--out", "OUT"),
+            ("discriminant-check", *HOLLOW, "--beta", "inf", "--out", "OUT"),
+            (*THERMAL, "--beta", "nan"),
+            (*THERMAL, "--beta", "inf"),
+            (*THERMAL, "--criterion", "nan"),
+            ("sweep", *HOLLOW, "--criterion", "nan", "--out", "OUT"),
+            (*THERMAL, "--guard", 1.5),
+            (*THERMAL, "--guard", 0.5),
+            (*THERMAL, "--guard", -0.5),
+            (*THERMAL, "--guard", "nan"),
+            # zero Laplacian of power-of-two size: no level spacing for the frequency grid
+            ("discriminant-check", "--input", ComplexFile('{"n_vertices": 2, "simplices": {"0": [[0], [1]]}}'),
+             "--k", 0, "--out", "OUT"),
+            ("betti", "--input", ComplexFile('{"n_vertices": 2, "simplices": [[0], [1]]}'), "--k", 0),
+            ("betti", "--input", ComplexFile("[[0], [1]]"), "--k", 0),
+            ("betti", "--input", ComplexFile('{"n_vertices": 2, "simplices": {"0": [0, [1]]}}'), "--k", 0),
         ],
         ids=lambda args: " ".join(str(a) for a in args if a not in ("--out", "OUT")),
     )
     def test_exits_2(self, runner, tmp_path, args):
         out = tmp_path / "out"
-        result = invoke(runner, *(out if a == "OUT" else a for a in args))
+        argv = []
+        for a in args:
+            if isinstance(a, ComplexFile):
+                (tmp_path / "cx.json").write_text(a)
+                a = tmp_path / "cx.json"
+            argv.append(out if a == "OUT" else a)
+        result = invoke(runner, *argv)
         assert result.exit_code == 2, result.output
         assert "Error:" in result.output
         assert not out.exists()

@@ -192,7 +192,39 @@ class TestPadHamiltonian:
         assert padded.shape == (2, 2) and padded[1, 1].real > 3.0
 
 
+def kron_loop_discriminant(h, jumps, grid, window, beta):
+    """Reference assembly, one Kronecker product per jump and frequency, with
+    A(omega) summed directly over the time grid of Heisenberg-picture jumps."""
+    dim = h.shape[0]
+    eye = np.eye(dim, dtype=complex)
+    d_matrix = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for op in jumps.operators:
+        evolved = [heisenberg(op, h, t) for t in grid.times]
+        for idx, omega in enumerate(grid.omegas):
+            a_w = sum(
+                f * np.exp(1j * omega * t) * a_t
+                for f, t, a_t in zip(window.weights, grid.times, evolved)
+            ) / math.sqrt(grid.m_points)
+            rate = metropolis_weight(omega, beta)
+            sym_rate = math.sqrt(rate * metropolis_weight(-omega, beta))
+            decay_rate = sym_rate if idx == 0 else rate
+            norm_term = a_w.conj().T @ a_w
+            d_matrix += sym_rate * np.kron(a_w, a_w.conj())
+            d_matrix -= 0.5 * decay_rate * (np.kron(norm_term, eye) + np.kron(eye, norm_term.conj()))
+    return d_matrix / len(jumps.operators)
+
+
 class TestDiscriminant:
+    @pytest.mark.parametrize("beta", [0.0, 0.8, 3.0])
+    @pytest.mark.parametrize("h,m", [(Z, 8), (pad_hamiltonian(HOLLOW_L1), 16)], ids=["Z", "hollow"])
+    def test_matches_kron_loop_reference(self, h, m, beta):
+        jumps = pauli_jumps(int(math.log2(h.shape[0])))
+        grid = make_grid(bohr_coverage(h), m)
+        win = gaussian_window(grid, default_sigma_t(beta, grid))
+        model = build_discriminant(h, jumps, grid, win, beta)
+        expected = kron_loop_discriminant(h, jumps, grid, win, beta)
+        assert np.abs(model.d_matrix - expected).max() <= 1e-12
+
     def test_hermitian_and_negative(self):
         jumps = pauli_jumps(1)
         for beta in (0.0, 0.5, 2.0):
