@@ -18,7 +18,6 @@ import numpy as np
 from . import __version__
 from .complexes import (
     CORPUS,
-    PointCloudError,
     SimplicialComplex,
     build_clique_complex,
     load_point_cloud,
@@ -32,7 +31,6 @@ from .discriminant import (
     pauli_jumps,
 )
 from .homology import (
-    EmptySimplexSetError,
     ZeroSpectrumError,
     betti_exact_kernel,
     betti_exact_rank,
@@ -43,6 +41,7 @@ from .swaptest import betti_swap
 from .thermal import (
     DEFAULT_CRITERION,
     DEFAULT_FLOOR_GUARD,
+    MAX_BETA,
     beta_threshold,
     betti_thermal,
     sweep as thermal_sweep,
@@ -70,7 +69,7 @@ class FiniteFloatRange(click.FloatRange):
         return rv
 
 
-NON_NEGATIVE = FiniteFloatRange(min=0.0)
+BETA = FiniteFloatRange(min=0.0, max=MAX_BETA)
 POSITIVE = FiniteFloatRange(min=0.0, min_open=True)
 # a guard of 1/2 or more floors an inverse purity half a level above b to b + 1
 FLOOR_GUARD = FiniteFloatRange(min=0.0, max=0.5, max_open=True)
@@ -101,35 +100,42 @@ def _read_complex(input_path, corpus_name) -> SimplicialComplex:
         return CORPUS[corpus_name]()
     try:
         return SimplicialComplex.load(input_path)
-    except FileNotFoundError as exc:
-        raise click.UsageError(f"complex file not found: {exc}") from exc
     # JSONDecodeError is a ValueError; AttributeError and TypeError come from a
     # list or a number where the format has a mapping or a simplex
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise click.UsageError(f"invalid complex file: {exc}") from exc
 
 
-def _spectrum_for(cx: SimplicialComplex, k: int, with_vectors: bool = False):
-    try:
-        lap = combinatorial_laplacian(cx, k)
-    except EmptySimplexSetError as exc:
-        raise click.UsageError(str(exc)) from exc
-    try:
-        return spectrum(lap, with_vectors=with_vectors)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigensolver failed: {exc}") from exc
-
-
-def _default_beta(spec, criterion: float):
+def _default_beta(spec, criterion: float) -> float:
     """4x the cooling threshold; 1.0 with a warning for an all-zero spectrum."""
     try:
-        return 4.0 * beta_threshold(spec, spec.dim, criterion), True
+        return 4.0 * beta_threshold(spec, spec.dim, criterion)
     except ZeroSpectrumError:
         click.echo("warning: zero Laplacian, using beta = 1.0", err=True)
-        return 1.0, False
+        return 1.0
 
 
-@click.group()
+class ExitCodeGroup(click.Group):
+    """Maps the exceptions of every subcommand to the documented exit codes.
+
+    A failed eigensolve or a float overflow exits 3; any other ValueError
+    (an empty simplex set, a malformed point cloud or JSON file, a
+    Hamiltonian with no frequency grid) and an unreadable or unwritable
+    path exit 2.  Bare OSError is left alone: click handles a broken pipe.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (np.linalg.LinAlgError, ArithmeticError) as exc:  # LinAlgError is a ValueError
+            raise NumericalFailure(f"numerical failure: {exc}") from exc
+        except (
+            ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError,
+        ) as exc:
+            raise click.UsageError(str(exc)) from exc
+
+
+@click.group(cls=ExitCodeGroup)
 @click.version_option(version=__version__)
 def main():
     """Betti numbers from thermal states of combinatorial Laplacians."""
@@ -143,11 +149,8 @@ def main():
 @click.option("--out", "out_path", required=True, type=click.Path())
 def cmd_build_complex(points_path, metric, epsilon, max_dim, out_path):
     """Clique complex of a point cloud at one filtration scale."""
-    try:
-        cloud = load_point_cloud(points_path)
-        cx = build_clique_complex(cloud, metric, epsilon, min(max_dim, cloud.n - 1))
-    except (FileNotFoundError, PointCloudError, ValueError) as exc:
-        raise click.UsageError(str(exc)) from exc
+    cloud = load_point_cloud(points_path)
+    cx = build_clique_complex(cloud, metric, epsilon, min(max_dim, cloud.n - 1))
     cx.save(out_path)
     sizes = {k: cx.num_simplices(k) for k in sorted(cx.sets)}
     click.echo(json.dumps({"num_simplices": {str(k): v for k, v in sizes.items()}}))
@@ -161,10 +164,7 @@ def cmd_build_complex(points_path, metric, epsilon, max_dim, out_path):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def cmd_random_complex(n, edge_prob, max_dim, seed, out_path):
     """Clique complex of an Erdos-Renyi graph."""
-    try:
-        cx = random_complex(n, edge_prob, max_dim, seed)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    cx = random_complex(n, edge_prob, max_dim, seed)
     cx.save(out_path)
     click.echo(json.dumps({"num_simplices": {str(k): cx.num_simplices(k) for k in sorted(cx.sets)}}))
 
@@ -174,7 +174,7 @@ def cmd_random_complex(n, edge_prob, max_dim, seed, out_path):
 @click.option("--corpus", "corpus_name", type=click.Choice(sorted(CORPUS)), default=None)
 @click.option("--k", type=int, required=True)
 @click.option("--method", type=click.Choice(["exact", "thermal", "swap"]), default="exact", show_default=True)
-@click.option("--beta", type=NON_NEGATIVE, default=None, help="inverse temperature (default: 4x threshold)")
+@click.option("--beta", type=BETA, default=None, help="inverse temperature (default: 4x threshold)")
 @click.option("--criterion", type=POSITIVE, default=DEFAULT_CRITERION, show_default=True)
 @click.option("--guard", type=FLOOR_GUARD, default=DEFAULT_FLOOR_GUARD, show_default=True)
 @click.option("--shots", type=click.IntRange(min=1), default=10**6, show_default=True)
@@ -187,13 +187,10 @@ def cmd_betti(input_path, corpus_name, k, method, beta, criterion, guard, shots,
         "betti", input=input_path, corpus=corpus_name, k=k, method=method,
         beta=beta, criterion=criterion, guard=guard, shots=shots, seed=seed,
     )
+    spec = spectrum(combinatorial_laplacian(cx, k), with_vectors=method == "swap")
     if method == "exact":
-        spec = _spectrum_for(cx, k)
         kernel = betti_exact_kernel(spec)
-        try:
-            ranks = betti_exact_rank(cx, k)
-        except EmptySimplexSetError as exc:
-            raise click.UsageError(str(exc)) from exc
+        ranks = betti_exact_rank(cx, k)
         payload = {
             "method": "exact",
             "k": k,
@@ -203,18 +200,14 @@ def cmd_betti(input_path, corpus_name, k, method, beta, criterion, guard, shots,
             "tol_kernel": spec.tol_kernel,
             "meta": meta,
         }
-    elif method == "thermal":
-        spec = _spectrum_for(cx, k)
-        if beta is None:
-            beta, _ = _default_beta(spec, criterion)
-        est = betti_thermal(spec, beta, guard=guard, criterion=criterion)
-        payload = {"method": "thermal", "k": k, **est.to_json_dict(), "meta": meta}
     else:
-        spec = _spectrum_for(cx, k, with_vectors=True)
         if beta is None:
-            beta, _ = _default_beta(spec, criterion)
-        est = betti_swap(spec, beta, shots, seed, guard=guard, criterion=criterion)
-        payload = {"method": "swap", "k": k, **est.to_json_dict(), "meta": meta}
+            beta = _default_beta(spec, criterion)
+        if method == "thermal":
+            est = betti_thermal(spec, beta, guard=guard, criterion=criterion)
+        else:
+            est = betti_swap(spec, beta, shots, seed, guard=guard, criterion=criterion)
+        payload = {"method": method, "k": k, **est.to_json_dict(), "meta": meta}
     _write_json(payload, out_path)
 
 
@@ -222,8 +215,8 @@ def cmd_betti(input_path, corpus_name, k, method, beta, criterion, guard, shots,
 @click.option("--input", "input_path", type=click.Path(), default=None)
 @click.option("--corpus", "corpus_name", type=click.Choice(sorted(CORPUS)), default=None)
 @click.option("--k", type=int, required=True)
-@click.option("--beta-min", type=float, default=0.01, show_default=True)
-@click.option("--beta-max", type=float, default=10.0, show_default=True)
+@click.option("--beta-min", type=BETA, default=0.01, show_default=True)
+@click.option("--beta-max", type=BETA, default=10.0, show_default=True)
 @click.option("--beta-steps", type=int, default=50, show_default=True)
 @click.option("--criterion", type=POSITIVE, default=DEFAULT_CRITERION, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
@@ -232,7 +225,7 @@ def cmd_sweep(input_path, corpus_name, k, beta_min, beta_max, beta_steps, criter
     if not (0.0 < beta_min < beta_max) or beta_steps < 1:
         raise click.UsageError("need 0 < beta-min < beta-max and beta-steps >= 1")
     cx = _read_complex(input_path, corpus_name)
-    spec = _spectrum_for(cx, k)
+    spec = spectrum(combinatorial_laplacian(cx, k))
     grid = (
         np.logspace(np.log10(beta_min), np.log10(beta_max), beta_steps)
         if beta_steps > 1
@@ -273,12 +266,7 @@ def cmd_scaling(n, ks, instances, criterion, edge_prob_lo, edge_prob_hi, seed, o
     """Cooling-threshold vs spectral-gap scaling over random complexes."""
     if n < 2:
         raise click.UsageError("need n >= 2")
-    try:
-        result = scaling_experiment(
-            n, ks, instances, criterion, (edge_prob_lo, edge_prob_hi), seed
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    result = scaling_experiment(n, ks, instances, criterion, (edge_prob_lo, edge_prob_hi), seed)
     with open(out_path, "w", encoding="utf-8") as fh:
         write_scaling_csv(result, fh)
     summary = {
@@ -303,7 +291,7 @@ def cmd_scaling(n, ks, instances, criterion, edge_prob_lo, edge_prob_hi, seed, o
 @click.option("--input", "input_path", type=click.Path(), default=None)
 @click.option("--corpus", "corpus_name", type=click.Choice(sorted(CORPUS)), default=None)
 @click.option("--k", type=int, required=True)
-@click.option("--beta", type=NON_NEGATIVE, default=1.0, show_default=True, help="target inverse temperature")
+@click.option("--beta", type=BETA, default=1.0, show_default=True, help="target inverse temperature")
 # the operator Fourier transform holds an M x M phase matrix: 16 MB at the cap
 @click.option("--grid-m", type=click.IntRange(min=4, max=1024), default=32, show_default=True)
 @click.option("--steps", type=click.IntRange(min=1), default=5, show_default=True, help="annealing steps after beta=0")
@@ -313,11 +301,7 @@ def cmd_discriminant_check(input_path, corpus_name, k, beta, grid_m, steps, out_
     if grid_m % 2:
         raise click.UsageError("--grid-m must be even")
     cx = _read_complex(input_path, corpus_name)
-    try:
-        lap = combinatorial_laplacian(cx, k)
-    except EmptySimplexSetError as exc:
-        raise click.UsageError(str(exc)) from exc
-    padded = pad_hamiltonian(lap, min_qubits=1)
+    padded = pad_hamiltonian(combinatorial_laplacian(cx, k), min_qubits=1)
     if padded.shape[0] ** 2 > MAX_DOUBLED_DIM:
         raise click.UsageError(
             f"doubled dimension {padded.shape[0] ** 2} exceeds cap {MAX_DOUBLED_DIM}"
@@ -327,12 +311,7 @@ def cmd_discriminant_check(input_path, corpus_name, k, beta, grid_m, steps, out_
         schedule = [0.0] + [beta * (i + 1) / steps for i in range(steps)]
     else:
         schedule = [0.0]
-    try:
-        report = annealing_path(padded, jumps, grid_m, schedule)
-    except np.linalg.LinAlgError as exc:  # a ValueError subclass: catch it first
-        raise NumericalFailure(f"eigensolver failed: {exc}") from exc
-    except ValueError as exc:  # a single-level Hamiltonian leaves no frequency grid
-        raise click.UsageError(f"cannot build the discriminant: {exc}") from exc
+    report = annealing_path(padded, jumps, grid_m, schedule)
     payload = {
         "grid_m": grid_m,
         "beta_target": beta,

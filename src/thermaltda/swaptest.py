@@ -1,13 +1,13 @@
 """Statevector simulation of the purity-estimation routine.
 
 A canonical purification of the thermal state is prepared on a doubled
-register, two copies are fed to an ancilla SWAP test (Hadamard, controlled
-swap of the system sub-registers, Hadamard), and the ancilla bias gives
-the purity exactly.  Shots are then drawn binomially from the exact Born
-probability, which is statistically identical to rerunning the circuit
-per shot.  Joint statevectors are only built while they fit comfortably
-in memory; beyond that the same Born probability is obtained from the
-reduced density matrices, a path verified to agree on the overlap region.
+register, and two copies are fed to an ancilla SWAP test (Hadamard,
+controlled swap of the system sub-registers, Hadamard), whose ancilla bias
+gives the purity exactly.  The estimator reads that Born probability off
+the reduced states, Tr{rho_A rho_B}, at every size; the joint-statevector
+circuit is kept as the reference it is tested against.  Shots are then
+drawn binomially from the exact Born probability, which is statistically
+identical to rerunning the circuit per shot.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ from .thermal import (
     detect_trivial_kernel,
     spectral_sums,
 )
-
-# largest joint SWAP circuit: 4n+1 qubits with n = 4, i.e. m <= 16
-MAX_CIRCUIT_SYSTEM_QUBITS = 4
 
 # Stability band half-width in units of the binomial deviation.  At high
 # beta the inverse purity sits essentially on the integer boundary, so the
@@ -139,9 +136,9 @@ def swap_test_probabilities(
 def overlap_probabilities(state_a: StateVector, state_b: StateVector) -> tuple[float, float]:
     """Same Born probabilities via Tr{rho_A rho_B} on the reduced states.
 
-    Memory-light equivalent of the joint circuit, used when the joint
-    register would be too large; Tr{rho_A rho_B} = ||A^dagger B||_F^2 for
-    the reshaped amplitude matrices.
+    Memory-light equivalent of the joint circuit and the estimator's only
+    path; Tr{rho_A rho_B} = ||A^dagger B||_F^2 for the reshaped amplitude
+    matrices.
     """
     na, nb = state_a.n_qubits // 2, state_b.n_qubits // 2
     mat_a = state_a.amplitudes.reshape(2**na, -1)
@@ -227,10 +224,7 @@ def betti_swap(
     """
     sums = spectral_sums(spec, beta)
     state = purification_state(spec, beta)
-    if state.n_qubits // 2 <= MAX_CIRCUIT_SYSTEM_QUBITS:
-        p0, _ = swap_test_probabilities(state, state)
-    else:
-        p0, _ = overlap_probabilities(state, state)
+    p0, _ = overlap_probabilities(state, state)
     result = swap_test_sample(p0, shots, seed)
 
     trivial = detect_trivial_kernel(float(sums.z_norm[0]), spec.dim)

@@ -27,6 +27,8 @@ from .homology import Spectrum, ZeroSpectrumError
 DEFAULT_CRITERION = 1e-3
 DEFAULT_FLOOR_GUARD = 1e-9
 TRIVIAL_KERNEL_FACTOR = 0.5  # threshold 0.5/m sits midway between the limits 0 and 1/m
+# largest inverse temperature: the threshold bracket's limit and the CLI's bound on beta
+MAX_BETA = 1e12
 
 SWEEP_CSV_HEADER = (
     "beta,purity,inverse_purity,betti_floor,renyi2_nats,fidelity,"
@@ -168,8 +170,8 @@ def beta_threshold(
     lo, hi = 0.0, 1.0
     while cooling_rate(spec, hi) > criterion:
         lo, hi = hi, 2.0 * hi
-        if hi > 1e12:
-            raise ArithmeticError("cooling threshold bracket exceeded 1e12")
+        if hi > MAX_BETA:
+            raise ArithmeticError(f"cooling threshold bracket exceeded {MAX_BETA:g}")
     while hi - lo > 1e-6 * hi:
         mid = 0.5 * (lo + hi)
         if cooling_rate(spec, mid) <= criterion:

@@ -1,7 +1,11 @@
 import json
+import os
+import tempfile
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from thermaltda.cli import main
 
@@ -321,21 +325,74 @@ class TestBadInput:
             ("betti", "--input", ComplexFile('{"n_vertices": 2, "simplices": [[0], [1]]}'), "--k", 0),
             ("betti", "--input", ComplexFile("[[0], [1]]"), "--k", 0),
             ("betti", "--input", ComplexFile('{"n_vertices": 2, "simplices": {"0": [0, [1]]}}'), "--k", 0),
+            # an output path that cannot be opened for writing
+            ("betti", *HOLLOW, "--out", "OUT_IN_MISSING_DIR"),
+            ("sweep", *HOLLOW, "--out", "OUT_IN_MISSING_DIR"),
+            ("scaling", "--n", 4, "--instances", 1, "--out", "OUT_IN_MISSING_DIR"),
+            ("random-complex", "--n", 4, "--edge-prob", 0.5, "--out", "OUT_IN_MISSING_DIR"),
+            ("discriminant-check", *HOLLOW, "--grid-m", 4, "--steps", 1, "--out", "OUT_IN_MISSING_DIR"),
+            ("betti", *HOLLOW, "--out", "OUT_IS_DIR"),
+            # inverse temperatures beyond the bound
+            (*THERMAL, "--beta", 1e308),
+            ("discriminant-check", *HOLLOW, "--beta", 1e308, "--out", "OUT"),
+            ("sweep", *HOLLOW, "--beta-max", "inf", "--out", "OUT"),
+            ("sweep", *HOLLOW, "--beta-max", 1e308, "--out", "OUT"),
         ],
         ids=lambda args: " ".join(str(a) for a in args if a not in ("--out", "OUT")),
     )
     def test_exits_2(self, runner, tmp_path, args):
         out = tmp_path / "out"
+        paths = {"OUT": out, "OUT_IN_MISSING_DIR": tmp_path / "missing" / "out", "OUT_IS_DIR": tmp_path}
         argv = []
         for a in args:
             if isinstance(a, ComplexFile):
                 (tmp_path / "cx.json").write_text(a)
                 a = tmp_path / "cx.json"
-            argv.append(out if a == "OUT" else a)
+            argv.append(paths.get(a, a))
         result = invoke(runner, *argv)
         assert result.exit_code == 2, result.output
         assert "Error:" in result.output
         assert not out.exists()
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, OverflowError])
+    def test_exits_3(self, runner, monkeypatch, error):
+        """A solver failure or a float overflow exits 3, never a traceback."""
+
+        def fail(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr("thermaltda.cli.betti_thermal", fail)
+        result = invoke(runner, *self.THERMAL)
+        assert result.exit_code == 3, result.output
+        assert "Error:" in result.output
+
+
+def _beta_in_bound(v: float) -> bool:
+    return 0.0 <= v <= 1e12
+
+
+@pytest.mark.parametrize(
+    "args, accepted",
+    [
+        (("betti", *TestBadInput.HOLLOW, "--method", "thermal", "--beta"), _beta_in_bound),
+        (("discriminant-check", *TestBadInput.HOLLOW, "--grid-m", 4, "--steps", 1, "--out", "OUT", "--beta"),
+         _beta_in_bound),
+        # the default --beta-min is 0.01
+        (("sweep", *TestBadInput.HOLLOW, "--out", "OUT", "--beta-max"), lambda v: 0.01 < v <= 1e12),
+    ],
+    ids=["betti", "discriminant-check", "sweep"],
+)
+@settings(derandomize=True, database=None, deadline=None)
+@given(v=st.floats())
+def test_beta_options_exit_0_or_2(args, accepted, v):
+    """Any float given as an inverse temperature runs or exits 2: beta in
+    [0, 1e12] runs, anything else is a usage error."""
+    runner = CliRunner()  # hypothesis rejects function-scoped fixtures
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        result = invoke(runner, *(out if a == "OUT" else a for a in args), repr(v))
+    assert result.exit_code == (0 if accepted(v) else 2), result.output
 
 
 class TestMeta:

@@ -136,7 +136,7 @@ class TestSwapTestProbabilities:
 
     def test_contraction_path_agrees_with_circuit(self):
         rng = np.random.default_rng(17)
-        for lam_count in (2, 3, 5, 8):
+        for lam_count in (2, 3, 5, 8, 16):
             lam = np.sort(rng.uniform(0.0, 4.0, lam_count))
             lam[0] = 0.0
             spec = spec_with_vectors(lam)
