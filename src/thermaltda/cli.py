@@ -24,12 +24,7 @@ from .complexes import (
     random_complex,
     METRICS,
 )
-from .discriminant import (
-    MAX_DOUBLED_DIM,
-    annealing_path,
-    pad_hamiltonian,
-    pauli_jumps,
-)
+from .discriminant import annealing_path, pad_hamiltonian, pauli_jumps
 from .homology import (
     ZeroSpectrumError,
     betti_exact_kernel,
@@ -75,13 +70,16 @@ POSITIVE = FiniteFloatRange(min=0.0, min_open=True)
 FLOOR_GUARD = FiniteFloatRange(min=0.0, max=0.5, max_open=True)
 
 
-def _meta(command: str, **options) -> dict:
-    return {
-        "tool": "thermaltda",
-        "version": __version__,
-        "command": command,
-        "options": options,
+def _meta() -> dict:
+    """Run record of the running command: every option but the output paths,
+    keyed by its flag name with dashes as underscores."""
+    ctx = click.get_current_context()
+    options = {
+        p.opts[0].lstrip("-").replace("-", "_"): ctx.params[p.name]
+        for p in ctx.command.params
+        if p.name not in ("out_path", "fit_path")
     }
+    return {"tool": "thermaltda", "version": __version__, "command": ctx.command.name, "options": options}
 
 
 def _write_json(payload: dict, out_path) -> None:
@@ -172,21 +170,18 @@ def cmd_random_complex(n, edge_prob, max_dim, seed, out_path):
 @main.command("betti")
 @click.option("--input", "input_path", type=click.Path(), default=None, help="complex JSON")
 @click.option("--corpus", "corpus_name", type=click.Choice(sorted(CORPUS)), default=None)
-@click.option("--k", type=int, required=True)
+@click.option("--k", type=click.IntRange(min=0), required=True)
 @click.option("--method", type=click.Choice(["exact", "thermal", "swap"]), default="exact", show_default=True)
 @click.option("--beta", type=BETA, default=None, help="inverse temperature (default: 4x threshold)")
 @click.option("--criterion", type=POSITIVE, default=DEFAULT_CRITERION, show_default=True)
 @click.option("--guard", type=FLOOR_GUARD, default=DEFAULT_FLOOR_GUARD, show_default=True)
-@click.option("--shots", type=click.IntRange(min=1), default=10**6, show_default=True)
+# Generator.binomial takes at most 2**63 - 1 trials
+@click.option("--shots", type=click.IntRange(min=1, max=2**63 - 1), default=10**6, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def cmd_betti(input_path, corpus_name, k, method, beta, criterion, guard, shots, seed, out_path):
     """Betti number of one dimension by the chosen route."""
     cx = _read_complex(input_path, corpus_name)
-    meta = _meta(
-        "betti", input=input_path, corpus=corpus_name, k=k, method=method,
-        beta=beta, criterion=criterion, guard=guard, shots=shots, seed=seed,
-    )
     spec = spectrum(combinatorial_laplacian(cx, k), with_vectors=method == "swap")
     if method == "exact":
         kernel = betti_exact_kernel(spec)
@@ -198,7 +193,7 @@ def cmd_betti(input_path, corpus_name, k, method, beta, criterion, guard, shots,
             "betti_rank": ranks.betti,
             "agree": kernel == ranks.betti,
             "tol_kernel": spec.tol_kernel,
-            "meta": meta,
+            "meta": _meta(),
         }
     else:
         if beta is None:
@@ -207,23 +202,23 @@ def cmd_betti(input_path, corpus_name, k, method, beta, criterion, guard, shots,
             est = betti_thermal(spec, beta, guard=guard, criterion=criterion)
         else:
             est = betti_swap(spec, beta, shots, seed, guard=guard, criterion=criterion)
-        payload = {"method": method, "k": k, **est.to_json_dict(), "meta": meta}
+        payload = {"method": method, "k": k, **est.to_json_dict(), "meta": _meta()}
     _write_json(payload, out_path)
 
 
 @main.command("sweep")
 @click.option("--input", "input_path", type=click.Path(), default=None)
 @click.option("--corpus", "corpus_name", type=click.Choice(sorted(CORPUS)), default=None)
-@click.option("--k", type=int, required=True)
+@click.option("--k", type=click.IntRange(min=0), required=True)
 @click.option("--beta-min", type=BETA, default=0.01, show_default=True)
 @click.option("--beta-max", type=BETA, default=10.0, show_default=True)
-@click.option("--beta-steps", type=int, default=50, show_default=True)
+@click.option("--beta-steps", type=click.IntRange(min=1), default=50, show_default=True)
 @click.option("--criterion", type=POSITIVE, default=DEFAULT_CRITERION, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def cmd_sweep(input_path, corpus_name, k, beta_min, beta_max, beta_steps, criterion, out_path):
     """Thermal estimates along a log grid of inverse temperatures (CSV)."""
-    if not (0.0 < beta_min < beta_max) or beta_steps < 1:
-        raise click.UsageError("need 0 < beta-min < beta-max and beta-steps >= 1")
+    if not 0.0 < beta_min < beta_max:
+        raise click.UsageError("need 0 < beta-min < beta-max")
     cx = _read_complex(input_path, corpus_name)
     spec = spectrum(combinatorial_laplacian(cx, k))
     grid = (
@@ -241,11 +236,7 @@ def cmd_sweep(input_path, corpus_name, k, beta_min, beta_max, beta_steps, criter
             {
                 "beta_threshold": result.beta_threshold,
                 "rows": len(result.estimates),
-                "meta": _meta(
-                    "sweep", input=input_path, corpus=corpus_name, k=k,
-                    beta_min=beta_min, beta_max=beta_max, beta_steps=beta_steps,
-                    criterion=criterion,
-                ),
+                "meta": _meta(),
             },
             sort_keys=True,
         )
@@ -253,8 +244,8 @@ def cmd_sweep(input_path, corpus_name, k, beta_min, beta_max, beta_steps, criter
 
 
 @main.command("scaling")
-@click.option("--n", type=int, default=10, show_default=True)
-@click.option("--k", "ks", type=int, multiple=True, default=(1, 2, 3, 4), show_default=True)
+@click.option("--n", type=click.IntRange(min=2), default=10, show_default=True)
+@click.option("--k", "ks", type=click.IntRange(min=0), multiple=True, default=(1, 2, 3, 4), show_default=True)
 @click.option("--instances", type=int, default=300, show_default=True)
 @click.option("--criterion", type=POSITIVE, default=DEFAULT_CRITERION, show_default=True)
 @click.option("--edge-prob-lo", type=float, default=0.3, show_default=True)
@@ -264,18 +255,13 @@ def cmd_sweep(input_path, corpus_name, k, beta_min, beta_max, beta_steps, criter
 @click.option("--fit-out", "fit_path", type=click.Path(), default=None, help="fit JSON")
 def cmd_scaling(n, ks, instances, criterion, edge_prob_lo, edge_prob_hi, seed, out_path, fit_path):
     """Cooling-threshold vs spectral-gap scaling over random complexes."""
-    if n < 2:
-        raise click.UsageError("need n >= 2")
     result = scaling_experiment(n, ks, instances, criterion, (edge_prob_lo, edge_prob_hi), seed)
     with open(out_path, "w", encoding="utf-8") as fh:
         write_scaling_csv(result, fh)
     summary = {
         "records": len(result.records),
         "rejected": result.rejected,
-        "meta": _meta(
-            "scaling", n=n, k=list(ks), instances=instances, criterion=criterion,
-            edge_prob_lo=edge_prob_lo, edge_prob_hi=edge_prob_hi, seed=seed,
-        ),
+        "meta": _meta(),
     }
     try:
         fit = fit_power_law(result.records, group_by_k=True)
@@ -290,7 +276,7 @@ def cmd_scaling(n, ks, instances, criterion, edge_prob_lo, edge_prob_hi, seed, o
 @main.command("discriminant-check")
 @click.option("--input", "input_path", type=click.Path(), default=None)
 @click.option("--corpus", "corpus_name", type=click.Choice(sorted(CORPUS)), default=None)
-@click.option("--k", type=int, required=True)
+@click.option("--k", type=click.IntRange(min=0), required=True)
 @click.option("--beta", type=BETA, default=1.0, show_default=True, help="target inverse temperature")
 # the operator Fourier transform holds an M x M phase matrix: 16 MB at the cap
 @click.option("--grid-m", type=click.IntRange(min=4, max=1024), default=32, show_default=True)
@@ -298,28 +284,16 @@ def cmd_scaling(n, ks, instances, criterion, edge_prob_lo, edge_prob_hi, seed, o
 @click.option("--out", "out_path", required=True, type=click.Path())
 def cmd_discriminant_check(input_path, corpus_name, k, beta, grid_m, steps, out_path):
     """Anneal the discriminant's top eigenvector toward the purification."""
-    if grid_m % 2:
-        raise click.UsageError("--grid-m must be even")
     cx = _read_complex(input_path, corpus_name)
     padded = pad_hamiltonian(combinatorial_laplacian(cx, k), min_qubits=1)
-    if padded.shape[0] ** 2 > MAX_DOUBLED_DIM:
-        raise click.UsageError(
-            f"doubled dimension {padded.shape[0] ** 2} exceeds cap {MAX_DOUBLED_DIM}"
-        )
     jumps = pauli_jumps(int(np.log2(padded.shape[0])))
-    if beta > 0:
-        schedule = [0.0] + [beta * (i + 1) / steps for i in range(steps)]
-    else:
-        schedule = [0.0]
+    schedule = [beta * i / steps for i in range(steps + 1)] if beta > 0 else [0.0]
     report = annealing_path(padded, jumps, grid_m, schedule)
     payload = {
         "grid_m": grid_m,
         "beta_target": beta,
         **report.to_json_dict(),
-        "meta": _meta(
-            "discriminant-check", input=input_path, corpus=corpus_name, k=k,
-            beta=beta, grid_m=grid_m, steps=steps,
-        ),
+        "meta": _meta(),
     }
     _write_json(payload, out_path)
 

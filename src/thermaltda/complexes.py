@@ -203,7 +203,7 @@ def build_clique_complex(
     at exactly epsilon are edges), and every clique of at most max_dim+1
     vertices becomes a simplex.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:  # also rejects NaN, which no distance is <= to
         raise ValueError("epsilon must be >= 0")
     if not 0 <= max_dim <= cloud.n - 1:
         raise ValueError(f"max_dim must be in [0, {cloud.n - 1}]")
@@ -223,6 +223,8 @@ def random_complex(n: int, edge_prob: float, max_dim: int, seed: int) -> Simplic
         raise ValueError("need n >= 1 vertices")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError("edge_prob must lie in [0, 1]")
+    if max_dim < 0:
+        raise ValueError("max_dim must be >= 0")
     rng = np.random.default_rng(seed)
     draws = rng.random((n, n))
     adj = np.zeros((n, n), dtype=bool)

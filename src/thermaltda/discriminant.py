@@ -26,6 +26,9 @@ import numpy as np
 from .swaptest import StateVector, sqrt_gibbs
 
 MAX_DOUBLED_DIM = 4096  # D is (2^n)^2 x (2^n)^2: desk scale caps at n = 6
+# make_grid spans [-norm_h, norm_h): widening the level-spacing width by a
+# quarter keeps the extreme transition frequencies off the aliased edge point
+BOHR_MARGIN = 1.25
 
 _PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -68,14 +71,10 @@ def make_grid(norm_h: float, m_points: int) -> FrequencyGrid:
     return FrequencyGrid(m_points=m_points, omega0=omega0, t0=t0)
 
 
-def bohr_coverage(hamiltonian: np.ndarray, margin: float = 1.25) -> float:
-    """Coverage bound for make_grid: margin times the full level-spacing width.
-
-    The margin keeps the extreme transition frequencies strictly inside the
-    grid range, away from the aliased edge point.
-    """
+def bohr_coverage(hamiltonian: np.ndarray) -> float:
+    """Coverage bound for make_grid: BOHR_MARGIN times the full level-spacing width."""
     evals = np.linalg.eigvalsh(hamiltonian)
-    return margin * float(evals[-1] - evals[0])
+    return BOHR_MARGIN * float(evals[-1] - evals[0])
 
 
 @dataclass(frozen=True)
@@ -104,20 +103,18 @@ class JumpSet:
     """Hermitian, involutory jump operators (all single-site Paulis)."""
 
     operators: list
-    labels: list
 
 
 def pauli_jumps(n_qubits: int) -> JumpSet:
     """All 3n single-site Pauli operators on n qubits."""
-    ops, labels = [], []
+    ops = []
     for i in range(n_qubits):
-        for name, pauli in _PAULI.items():
+        for pauli in _PAULI.values():
             op = np.array([[1.0 + 0j]])
             for q in range(n_qubits):
                 op = np.kron(op, pauli if q == i else np.eye(2, dtype=complex))
             ops.append(op)
-            labels.append(f"{name}{i}")
-    return JumpSet(operators=ops, labels=labels)
+    return JumpSet(operators=ops)
 
 
 def heisenberg(op: np.ndarray, hamiltonian: np.ndarray, t: float) -> np.ndarray:
@@ -197,6 +194,13 @@ class DiscriminantModel:
     h_eigenvectors: np.ndarray
 
 
+def _check_doubled_dim(dim: int) -> None:
+    if dim * dim > MAX_DOUBLED_DIM:
+        raise ValueError(
+            f"doubled dimension {dim * dim} exceeds the desk-scale cap {MAX_DOUBLED_DIM}"
+        )
+
+
 def pad_hamiltonian(laplacian: np.ndarray, min_qubits: int = 0) -> np.ndarray:
     """Embed a Laplacian block into the next power-of-two dimension.
 
@@ -204,10 +208,12 @@ def pad_hamiltonian(laplacian: np.ndarray, min_qubits: int = 0) -> np.ndarray:
     spectrum, excluding them from the low-temperature manifold without
     touching the kernel.  ``min_qubits`` forces at least that many qubits
     (the jump set needs a qubit to act on even for a single simplex).
+    Raises ValueError, before any eigensolve, if the padded dimension is
+    over the discriminant's cap.
     """
     m = laplacian.shape[0]
-    n = max(int(math.ceil(math.log2(m))), min_qubits)
-    dim = 2**n
+    dim = 2 ** max(int(math.ceil(math.log2(m))), min_qubits)
+    _check_doubled_dim(dim)
     evals = np.linalg.eigvalsh(np.asarray(laplacian, dtype=float))
     penalty = float(evals[-1] + 10.0 * (evals[-1] - evals[0] + 1.0))
     padded = np.full(dim, penalty, dtype=float)
@@ -234,10 +240,7 @@ def build_discriminant(
     term could tip the matrix above zero.
     """
     dim = hamiltonian.shape[0]
-    if dim * dim > MAX_DOUBLED_DIM:
-        raise ValueError(
-            f"doubled dimension {dim * dim} exceeds the desk-scale cap {MAX_DOUBLED_DIM}"
-        )
+    _check_doubled_dim(dim)
     evals, evecs = np.linalg.eigh(hamiltonian)
     gammas = metropolis_weights(grid, beta)
     gammas_neg = np.array([metropolis_weight(-w, beta) for w in grid.omegas])
@@ -321,7 +324,6 @@ def annealing_path(
     jumps: JumpSet,
     m_points: int,
     betas,
-    coverage_margin: float = 1.25,
 ) -> AnnealingReport:
     """Follow the top eigenvector of the discriminant along a beta schedule.
 
@@ -334,7 +336,7 @@ def annealing_path(
     betas = [float(b) for b in betas]
     if not betas or betas[0] != 0.0 or any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("schedule must start at 0 and strictly increase")
-    grid = make_grid(bohr_coverage(hamiltonian, coverage_margin), m_points)
+    grid = make_grid(bohr_coverage(hamiltonian), m_points)
     steps: list[AnnealingStep] = []
     prev_vec = None
     for beta in betas:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -134,33 +134,20 @@ class FitLine:
     n_points: int
 
 
+def _line_json(f: FitLine) -> dict:
+    return {"slope": f.slope, "intercept": f.intercept, "r2": f.r_squared, "n": f.n_points}
+
+
 @dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(FitLine):
     """Least-squares line on (ln gap, ln threshold), pooled and per k."""
 
-    slope: float
-    intercept: float
-    r_squared: float
-    n_points: int
     per_k: dict[int, FitLine] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
-            "pooled": {
-                "slope": self.slope,
-                "intercept": self.intercept,
-                "r2": self.r_squared,
-                "n": self.n_points,
-            },
-            "per_k": {
-                str(k): {
-                    "slope": f.slope,
-                    "intercept": f.intercept,
-                    "r2": f.r_squared,
-                    "n": f.n_points,
-                }
-                for k, f in sorted(self.per_k.items())
-            },
+            "pooled": _line_json(self),
+            "per_k": {str(k): _line_json(f) for k, f in sorted(self.per_k.items())},
         }
 
 
@@ -206,13 +193,7 @@ def fit_power_law(records, group_by_k: bool = False) -> PowerLawFit:
                 np.log(np.array([r.delta_gap for r in group])),
                 np.log(np.array([r.beta_threshold for r in group])),
             )
-    return PowerLawFit(
-        slope=pooled.slope,
-        intercept=pooled.intercept,
-        r_squared=pooled.r_squared,
-        n_points=pooled.n_points,
-        per_k=per_k,
-    )
+    return PowerLawFit(**asdict(pooled), per_k=per_k)
 
 
 def write_scaling_csv(result: ScalingResult, fh) -> None:

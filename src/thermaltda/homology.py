@@ -40,16 +40,11 @@ def boundary_matrix(cx: SimplicialComplex, k: int) -> sp.csc_matrix:
     rows = cx.simplices(k - 1)
     cols = cx.simplices(k)
     row_index = {s: i for i, s in enumerate(rows)}
-    data, ri, ci = [], [], []
-    for j, s in enumerate(cols):
-        for l in range(k + 1):
-            face = s[:l] + s[l + 1:]
-            ri.append(row_index[face])
-            ci.append(j)
-            data.append(-1 if l % 2 else 1)
-    return sp.csc_matrix(
-        (np.array(data, dtype=np.int64), (ri, ci)), shape=(len(rows), len(cols))
-    )
+    # column j holds the k + 1 faces of simplex j, in order of the deleted vertex
+    ri = [row_index[s[:l] + s[l + 1:]] for s in cols for l in range(k + 1)]
+    data = np.tile((-1) ** np.arange(k + 1, dtype=np.int64), len(cols))
+    indptr = np.arange(len(cols) + 1) * (k + 1)
+    return sp.csc_matrix((data, ri, indptr), shape=(len(rows), len(cols)))
 
 
 def combinatorial_laplacian(cx: SimplicialComplex, k: int) -> np.ndarray:
@@ -62,14 +57,12 @@ def combinatorial_laplacian(cx: SimplicialComplex, k: int) -> np.ndarray:
     m = cx.num_simplices(k)
     if m == 0:
         raise EmptySimplexSetError(f"no {k}-simplices at this scale")
-    lap = sp.csc_matrix((m, m), dtype=np.int64)
+    up = boundary_matrix(cx, k + 1)
+    lap = up @ up.T
     if k >= 1:
         down = boundary_matrix(cx, k)
         lap = lap + down.T @ down
-    up = boundary_matrix(cx, k + 1)
-    if up.shape[1] > 0:
-        lap = lap + up @ up.T
-    return np.asarray(lap.todense(), dtype=float)
+    return lap.astype(float).toarray()
 
 
 @dataclass(frozen=True)

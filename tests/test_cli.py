@@ -287,6 +287,14 @@ class TestDiscriminantCheck:
 class ComplexFile(str):
     """JSON text that a test writes to a file and passes by path."""
 
+    name = "cx.json"
+
+
+class PointsFile(str):
+    """CSV text that a test writes to a file and passes by path."""
+
+    name = "points.csv"
+
 
 class TestBadInput:
     """Out-of-range options and malformed inputs exit 2 with a usage error,
@@ -337,6 +345,11 @@ class TestBadInput:
             ("discriminant-check", *HOLLOW, "--beta", 1e308, "--out", "OUT"),
             ("sweep", *HOLLOW, "--beta-max", "inf", "--out", "OUT"),
             ("sweep", *HOLLOW, "--beta-max", 1e308, "--out", "OUT"),
+            # dimensions and counts outside what the library or the sampler accept
+            ("scaling", "--n", 4, "--instances", 1, "--k", -1, "--out", "OUT"),
+            ("random-complex", "--n", 4, "--edge-prob", 0.5, "--max-dim", -1, "--out", "OUT"),
+            ("betti", *HOLLOW, "--method", "swap", "--shots", 2**63),
+            ("build-complex", "--points", PointsFile("0,0\n1,0\n"), "--epsilon", "nan", "--out", "OUT"),
         ],
         ids=lambda args: " ".join(str(a) for a in args if a not in ("--out", "OUT")),
     )
@@ -345,9 +358,9 @@ class TestBadInput:
         paths = {"OUT": out, "OUT_IN_MISSING_DIR": tmp_path / "missing" / "out", "OUT_IS_DIR": tmp_path}
         argv = []
         for a in args:
-            if isinstance(a, ComplexFile):
-                (tmp_path / "cx.json").write_text(a)
-                a = tmp_path / "cx.json"
+            if isinstance(a, (ComplexFile, PointsFile)):
+                (tmp_path / a.name).write_text(a)
+                a = tmp_path / a.name
             argv.append(paths.get(a, a))
         result = invoke(runner, *argv)
         assert result.exit_code == 2, result.output
@@ -403,6 +416,32 @@ class TestMeta:
         assert "version" in meta
         assert meta["options"]["k"] == 1
         assert meta["options"]["seed"] == 0
+
+    @pytest.mark.parametrize(
+        "args, keys",
+        [
+            (("betti", *TestBadInput.HOLLOW, "--out", "OUT"),
+             {"input", "corpus", "k", "method", "beta", "criterion", "guard", "shots", "seed"}),
+            (("sweep", *TestBadInput.HOLLOW, "--out", "OUT"),
+             {"input", "corpus", "k", "beta_min", "beta_max", "beta_steps", "criterion"}),
+            (("scaling", "--n", 6, "--k", 1, "--instances", 2, "--out", "OUT"),
+             {"n", "k", "instances", "criterion", "edge_prob_lo", "edge_prob_hi", "seed"}),
+            (("discriminant-check", *TestBadInput.HOLLOW, "--grid-m", 4, "--steps", 1, "--out", "OUT"),
+             {"input", "corpus", "k", "beta", "grid_m", "steps"}),
+        ],
+        ids=lambda v: v[0] if isinstance(v, tuple) else None,
+    )
+    def test_option_keys(self, runner, tmp_path, args, keys):
+        """meta records every option of the command but its output paths."""
+        out = tmp_path / "out"
+        result = invoke(runner, *(out if a == "OUT" else a for a in args))
+        assert result.exit_code == 0, result.output
+        # betti and discriminant-check write JSON to --out; sweep and scaling a CSV
+        json_out = args[0] in ("betti", "discriminant-check")
+        text = out.read_text() if json_out else result.output.splitlines()[-1]
+        meta = json.loads(text)["meta"]
+        assert meta["command"] == args[0]
+        assert set(meta["options"]) == keys
 
 
 class TestCrossMethodAgreement:

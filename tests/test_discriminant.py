@@ -191,6 +191,15 @@ class TestPadHamiltonian:
         padded = pad_hamiltonian(np.array([[3.0]]), min_qubits=1)
         assert padded.shape == (2, 2) and padded[1, 1].real > 3.0
 
+    def test_dimension_cap_before_eigensolve(self, monkeypatch):
+        # 65 levels pad to 128: a 16384-dim discriminant, over the cap
+        def fail(*args, **kwargs):
+            raise AssertionError("eigvalsh called before the cap check")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ValueError, match="cap"):
+            pad_hamiltonian(np.eye(65))
+
 
 def kron_loop_discriminant(h, jumps, grid, window, beta):
     """Reference assembly, one Kronecker product per jump and frequency, with

@@ -45,6 +45,20 @@ class TestBoundaryMatrix:
                 prod = boundary_matrix(cx, k) @ boundary_matrix(cx, k + 1)
                 assert prod.nnz == 0  # exactly zero in integer arithmetic
 
+    def test_matches_face_loop_reference(self):
+        """Equal to the face-by-face definition: column s has (-1)^l at the
+        row of s with its l-th vertex deleted."""
+        for cx in random_complex_family(25):
+            for k in range(1, cx.max_dim + 2):
+                rows = {s: i for i, s in enumerate(cx.simplices(k - 1))}
+                expected = np.zeros((len(rows), cx.num_simplices(k)), dtype=np.int64)
+                for j, s in enumerate(cx.simplices(k)):
+                    for l in range(k + 1):
+                        expected[rows[s[:l] + s[l + 1:]], j] = (-1) ** l
+                b = boundary_matrix(cx, k)
+                assert b.dtype == np.int64 and b.nnz == np.count_nonzero(expected)
+                np.testing.assert_array_equal(b.toarray(), expected)
+
 
 class TestLaplacian:
     def test_hollow_triangle_k1(self, corpus):
