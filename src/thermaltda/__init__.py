@@ -61,7 +61,6 @@ from .discriminant import (
     annealing_path,
     build_discriminant,
     gaussian_window,
-    heisenberg,
     make_grid,
     metropolis_weights,
     operator_fourier,

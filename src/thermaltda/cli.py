@@ -24,7 +24,7 @@ from .complexes import (
     random_complex,
     METRICS,
 )
-from .discriminant import annealing_path, pad_hamiltonian, pauli_jumps
+from .discriminant import annealing_path, pad_hamiltonian, pauli_jumps, register_qubits
 from .homology import (
     ZeroSpectrumError,
     betti_exact_kernel,
@@ -182,7 +182,7 @@ def cmd_random_complex(n, edge_prob, max_dim, seed, out_path):
 def cmd_betti(input_path, corpus_name, k, method, beta, criterion, guard, shots, seed, out_path):
     """Betti number of one dimension by the chosen route."""
     cx = _read_complex(input_path, corpus_name)
-    spec = spectrum(combinatorial_laplacian(cx, k), with_vectors=method == "swap")
+    spec = spectrum(combinatorial_laplacian(cx, k))
     if method == "exact":
         kernel = betti_exact_kernel(spec)
         ranks = betti_exact_rank(cx, k)
@@ -212,7 +212,8 @@ def cmd_betti(input_path, corpus_name, k, method, beta, criterion, guard, shots,
 @click.option("--k", type=click.IntRange(min=0), required=True)
 @click.option("--beta-min", type=BETA, default=0.01, show_default=True)
 @click.option("--beta-max", type=BETA, default=10.0, show_default=True)
-@click.option("--beta-steps", type=click.IntRange(min=1), default=50, show_default=True)
+# spectral_sums holds steps x m arrays: about 1 GB peak at the cap for m = 3841
+@click.option("--beta-steps", type=click.IntRange(min=1, max=10_000), default=50, show_default=True)
 @click.option("--criterion", type=POSITIVE, default=DEFAULT_CRITERION, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def cmd_sweep(input_path, corpus_name, k, beta_min, beta_max, beta_steps, criterion, out_path):
@@ -280,13 +281,16 @@ def cmd_scaling(n, ks, instances, criterion, edge_prob_lo, edge_prob_hi, seed, o
 @click.option("--beta", type=BETA, default=1.0, show_default=True, help="target inverse temperature")
 # the operator Fourier transform holds an M x M phase matrix: 16 MB at the cap
 @click.option("--grid-m", type=click.IntRange(min=4, max=1024), default=32, show_default=True)
-@click.option("--steps", type=click.IntRange(min=1), default=5, show_default=True, help="annealing steps after beta=0")
+# each step is a full discriminant build and eigensolve, about 1 s at dim 32
+@click.option("--steps", type=click.IntRange(min=1, max=1_000), default=5, show_default=True,
+              help="annealing steps after beta=0")
 @click.option("--out", "out_path", required=True, type=click.Path())
 def cmd_discriminant_check(input_path, corpus_name, k, beta, grid_m, steps, out_path):
     """Anneal the discriminant's top eigenvector toward the purification."""
     cx = _read_complex(input_path, corpus_name)
+    n_qubits = register_qubits(cx.num_simplices(k), min_qubits=1)
     padded = pad_hamiltonian(combinatorial_laplacian(cx, k), min_qubits=1)
-    jumps = pauli_jumps(int(np.log2(padded.shape[0])))
+    jumps = pauli_jumps(n_qubits)
     schedule = [beta * i / steps for i in range(steps + 1)] if beta > 0 else [0.0]
     report = annealing_path(padded, jumps, grid_m, schedule)
     payload = {

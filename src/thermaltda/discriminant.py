@@ -117,17 +117,6 @@ def pauli_jumps(n_qubits: int) -> JumpSet:
     return JumpSet(operators=ops)
 
 
-def heisenberg(op: np.ndarray, hamiltonian: np.ndarray, t: float) -> np.ndarray:
-    """Time-evolved operator e^{iHt} A e^{-iHt}, exact via eigendecomposition."""
-    if op.shape != hamiltonian.shape:
-        raise ValueError("operator and Hamiltonian shapes differ")
-    evals, evecs = np.linalg.eigh(hamiltonian)
-    phases = np.exp(1j * evals * t)
-    in_basis = evecs.conj().T @ op @ evecs
-    evolved = (phases[:, None] * in_basis) * phases.conj()[None, :]
-    return evecs @ evolved @ evecs.conj().T
-
-
 def _fourier_components(
     op: np.ndarray,
     evals: np.ndarray,
@@ -201,6 +190,18 @@ def _check_doubled_dim(dim: int) -> None:
         )
 
 
+def register_qubits(m: int, min_qubits: int = 0) -> int:
+    """Qubits of the register that embeds m levels: ceil(log2 m), at least min_qubits.
+
+    Raises ValueError if the register's doubled dimension is over the
+    discriminant's cap, so a caller can reject a size before it builds
+    anything of that size.
+    """
+    n_qubits = max((m - 1).bit_length(), min_qubits)
+    _check_doubled_dim(2**n_qubits)
+    return n_qubits
+
+
 def pad_hamiltonian(laplacian: np.ndarray, min_qubits: int = 0) -> np.ndarray:
     """Embed a Laplacian block into the next power-of-two dimension.
 
@@ -212,8 +213,7 @@ def pad_hamiltonian(laplacian: np.ndarray, min_qubits: int = 0) -> np.ndarray:
     over the discriminant's cap.
     """
     m = laplacian.shape[0]
-    dim = 2 ** max(int(math.ceil(math.log2(m))), min_qubits)
-    _check_doubled_dim(dim)
+    dim = 2 ** register_qubits(m, min_qubits)
     evals = np.linalg.eigvalsh(np.asarray(laplacian, dtype=float))
     penalty = float(evals[-1] + 10.0 * (evals[-1] - evals[0] + 1.0))
     padded = np.full(dim, penalty, dtype=float)

@@ -1,13 +1,13 @@
-"""Statevector simulation of the purity-estimation routine.
+"""SWAP-test estimate of the thermal-state purity, with shot noise.
 
-A canonical purification of the thermal state is prepared on a doubled
-register, and two copies are fed to an ancilla SWAP test (Hadamard,
-controlled swap of the system sub-registers, Hadamard), whose ancilla bias
-gives the purity exactly.  The estimator reads that Born probability off
-the reduced states, Tr{rho_A rho_B}, at every size; the joint-statevector
-circuit is kept as the reference it is tested against.  Shots are then
-drawn binomially from the exact Born probability, which is statistically
-identical to rerunning the circuit per shot.
+The SWAP test on two copies of a purification of the thermal state
+(Hadamard, controlled swap of the system sub-registers, Hadamard) has
+ancilla Born probability p0 = (1 + Tr rho^2) / 2.  The estimator reads that
+purity off the spectral kernel of the thermal module and draws shots
+binomially from p0, which is statistically identical to rerunning the
+circuit per shot.  The circuit itself, a canonical purification on a
+doubled register and the joint-statevector SWAP test, is kept here as the
+reference the tests check that Born probability against.
 """
 
 from __future__ import annotations
@@ -18,12 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .homology import Spectrum
-from .thermal import (
-    DEFAULT_CRITERION,
-    DEFAULT_FLOOR_GUARD,
-    detect_trivial_kernel,
-    spectral_sums,
-)
+from .thermal import DEFAULT_CRITERION, DEFAULT_FLOOR_GUARD, betti_thermal
 
 # Stability band half-width in units of the binomial deviation.  At high
 # beta the inverse purity sits essentially on the integer boundary, so the
@@ -79,13 +74,6 @@ def purification_state(spec: Spectrum, beta: float) -> StateVector:
     return StateVector(padded.reshape(-1), 2 * n)
 
 
-def reduced_density(state: StateVector, n_system: int) -> np.ndarray:
-    """Reduced state of the leading n_system qubits."""
-    rest = state.n_qubits - n_system
-    mat = state.amplitudes.reshape(2**n_system, 2**rest)
-    return mat @ mat.conj().T
-
-
 def swap_test_probabilities(
     state_a: StateVector,
     state_b: StateVector,
@@ -136,9 +124,8 @@ def swap_test_probabilities(
 def overlap_probabilities(state_a: StateVector, state_b: StateVector) -> tuple[float, float]:
     """Same Born probabilities via Tr{rho_A rho_B} on the reduced states.
 
-    Memory-light equivalent of the joint circuit and the estimator's only
-    path; Tr{rho_A rho_B} = ||A^dagger B||_F^2 for the reshaped amplitude
-    matrices.
+    Memory-light equivalent of the joint circuit; Tr{rho_A rho_B} =
+    ||A^dagger B||_F^2 for the reshaped amplitude matrices.
     """
     na, nb = state_a.n_qubits // 2, state_b.n_qubits // 2
     mat_a = state_a.amplitudes.reshape(2**na, -1)
@@ -212,26 +199,24 @@ def betti_swap(
     guard: float = DEFAULT_FLOOR_GUARD,
     criterion: float = DEFAULT_CRITERION,
 ) -> SwapBettiEstimate:
-    """Full pipeline: purification, SWAP-test probabilities, shots, floor.
+    """Thermal estimate plus shot noise: purity, SWAP-test shots, floor.
 
-    The stability flag records whether the floor stays put across a band
-    of STABILITY_BAND_SIGMAS binomial deviations of the exact Born
-    probability around the estimate (the empirical deviation formula
-    degenerates at single-digit shot counts); near an integer boundary it
-    goes false rather than hiding the ambiguity.  The trivial-kernel
-    override uses the exact normalized partition function of the spectrum,
-    as in the spectral estimator.
+    The exact Born probability is (1 + purity) / 2 with the purity of
+    ``betti_thermal``, whose trivial-kernel and convergence flags carry
+    over.  The stability flag records whether the floor stays put across a
+    band of STABILITY_BAND_SIGMAS binomial deviations of that probability
+    around the estimate (the empirical deviation formula degenerates at
+    single-digit shot counts); near an integer boundary it goes false
+    rather than hiding the ambiguity.
     """
-    sums = spectral_sums(spec, beta)
-    state = purification_state(spec, beta)
-    p0, _ = overlap_probabilities(state, state)
+    thermal = betti_thermal(spec, beta, guard=guard, criterion=criterion)
+    p0 = 0.5 * (1.0 + thermal.purity)
     result = swap_test_sample(p0, shots, seed)
 
-    trivial = detect_trivial_kernel(float(sums.z_norm[0]), spec.dim)
     estimate = result.purity_estimate
     margin = STABILITY_BAND_SIGMAS * (2.0 * math.sqrt(p0 * (1.0 - p0) / shots))
     floor_mid = _floor_of_inverse(estimate, guard)
-    if trivial:
+    if thermal.trivial_kernel:
         floor, stable = 0, True
     elif floor_mid is None:
         floor, stable = 0, False
@@ -249,6 +234,6 @@ def betti_swap(
         stderr=result.stderr,
         betti_floor=floor,
         stable=stable,
-        trivial_kernel=trivial,
-        converged=float(sums.rate[0]) <= criterion,
+        trivial_kernel=thermal.trivial_kernel,
+        converged=thermal.converged,
     )

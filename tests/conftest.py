@@ -47,3 +47,21 @@ def random_spectra(count: int, seed: int = 99):
         tol = 1e-8 * max(1.0, lam[-1] if lam.size else 1.0)
         out.append(Spectrum(eigenvalues=lam, tol_kernel=tol))
     return out
+
+
+def reduced_density(state, n_system: int) -> np.ndarray:
+    """Reduced state of the leading n_system qubits of a StateVector."""
+    rest = state.n_qubits - n_system
+    mat = state.amplitudes.reshape(2**n_system, 2**rest)
+    return mat @ mat.conj().T
+
+
+def heisenberg(op: np.ndarray, hamiltonian: np.ndarray, t: float) -> np.ndarray:
+    """Time-evolved operator e^{iHt} A e^{-iHt}, exact via eigendecomposition."""
+    if op.shape != hamiltonian.shape:
+        raise ValueError("operator and Hamiltonian shapes differ")
+    evals, evecs = np.linalg.eigh(hamiltonian)
+    phases = np.exp(1j * evals * t)
+    in_basis = evecs.conj().T @ op @ evecs
+    evolved = (phases[:, None] * in_basis) * phases.conj()[None, :]
+    return evecs @ evolved @ evecs.conj().T

@@ -269,19 +269,33 @@ class TestDiscriminantCheck:
         assert result.exit_code == 0
         assert json.loads(out.read_text())["steps"][0]["fidelity"] >= 0.99
 
-    def test_dimension_cap_enforced(self, runner, tmp_path):
+    def test_dimension_cap_enforced(self, runner, tmp_path, monkeypatch):
         cx_path = tmp_path / "big.json"
         result = invoke(
             runner, "random-complex", "--n", 24, "--edge-prob", 0.9,
             "--max-dim", 2, "--seed", 1, "--out", cx_path,
         )
         assert result.exit_code == 0
+
+        # the cap depends only on the simplex count: no Laplacian is assembled
+        def fail(*args, **kwargs):
+            raise AssertionError("Laplacian assembled before the cap check")
+
+        monkeypatch.setattr("thermaltda.cli.combinatorial_laplacian", fail)
         result = invoke(
             runner, "discriminant-check", "--input", cx_path, "--k", 1,
             "--beta", 0.5, "--grid-m", 8, "--out", tmp_path / "x.json",
         )
         assert result.exit_code == 2
         assert "cap" in result.output
+
+    def test_empty_dimension(self, runner, tmp_path):
+        result = invoke(
+            runner, "discriminant-check", "--corpus", "hollow-triangle", "--k", 2,
+            "--out", tmp_path / "x.json",
+        )
+        assert result.exit_code == 2
+        assert "no 2-simplices" in result.output
 
 
 class ComplexFile(str):
@@ -318,6 +332,8 @@ class TestBadInput:
             ("discriminant-check", *HOLLOW, "--grid-m", 9, "--out", "OUT"),
             ("discriminant-check", *HOLLOW, "--steps", 0, "--beta", 2, "--out", "OUT"),
             ("discriminant-check", *HOLLOW, "--steps", -3, "--out", "OUT"),
+            ("discriminant-check", *HOLLOW, "--steps", 1001, "--out", "OUT"),
+            ("sweep", *HOLLOW, "--beta-steps", 10_001, "--out", "OUT"),
             ("discriminant-check", *HOLLOW, "--beta", "inf", "--out", "OUT"),
             (*THERMAL, "--beta", "nan"),
             (*THERMAL, "--beta", "inf"),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import heisenberg
 from thermaltda.complexes import CORPUS
 from thermaltda.homology import combinatorial_laplacian
 from thermaltda.discriminant import (
@@ -12,13 +13,13 @@ from thermaltda.discriminant import (
     canonical_purification_vector,
     default_sigma_t,
     gaussian_window,
-    heisenberg,
     make_grid,
     metropolis_weight,
     metropolis_weights,
     operator_fourier,
     pad_hamiltonian,
     pauli_jumps,
+    register_qubits,
     top_eigenvector,
 )
 
@@ -191,6 +192,11 @@ class TestPadHamiltonian:
         padded = pad_hamiltonian(np.array([[3.0]]), min_qubits=1)
         assert padded.shape == (2, 2) and padded[1, 1].real > 3.0
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 31, 32, 33, 64])
+    def test_register_qubits_is_ceil_log2(self, m):
+        assert register_qubits(m) == math.ceil(math.log2(m))
+        assert register_qubits(m, min_qubits=3) == max(math.ceil(math.log2(m)), 3)
+
     def test_dimension_cap_before_eigensolve(self, monkeypatch):
         # 65 levels pad to 128: a 16384-dim discriminant, over the cap
         def fail(*args, **kwargs):
@@ -199,6 +205,8 @@ class TestPadHamiltonian:
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(ValueError, match="cap"):
             pad_hamiltonian(np.eye(65))
+        with pytest.raises(ValueError, match="cap"):
+            register_qubits(65)
 
 
 def kron_loop_discriminant(h, jumps, grid, window, beta):

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import random_complex_family
+from conftest import random_complex_family, reduced_density
 from thermaltda.complexes import random_complex
 from thermaltda.homology import (
     Spectrum,
@@ -16,18 +17,19 @@ from thermaltda.swaptest import (
     betti_swap,
     overlap_probabilities,
     purification_state,
-    reduced_density,
     swap_test_probabilities,
     swap_test_sample,
 )
 from thermaltda.thermal import beta_threshold, purity
 
 
-def spec_with_vectors(lam, vecs=None):
+def bare_spectrum(lam):
     lam = np.asarray(lam, dtype=float)
-    if vecs is None:
-        vecs = np.eye(lam.size)
-    return Spectrum(eigenvalues=lam, tol_kernel=1e-8 * max(1.0, lam[-1]), eigenvectors=vecs)
+    return Spectrum(eigenvalues=lam, tol_kernel=1e-8 * max(1.0, lam[-1]))
+
+
+def spec_with_vectors(lam):
+    return dataclasses.replace(bare_spectrum(lam), eigenvectors=np.eye(len(lam)))
 
 
 def gibbs_from_spectrum(spec, beta):
@@ -204,13 +206,13 @@ class TestSampling:
 
 class TestBettiSwap:
     def test_hollow_triangle_stable_floor(self, corpus):
-        spec = spectrum(combinatorial_laplacian(corpus["hollow-triangle"], 1), with_vectors=True)
+        spec = spectrum(combinatorial_laplacian(corpus["hollow-triangle"], 1))
         est = betti_swap(spec, beta=10.0, shots=100_000, seed=11)
         assert est.betti_floor == 1 and est.stable
 
     def test_boundary_case_flagged_unstable(self):
         # purity exactly 1/4: the sampled floor sits on the 4 <-> 3 boundary
-        spec = spec_with_vectors([0.0, 0.0, 0.0, 0.0])
+        spec = bare_spectrum([0.0, 0.0, 0.0, 0.0])
         floors = set()
         stables = []
         for seed in range(30):
@@ -221,34 +223,33 @@ class TestBettiSwap:
         assert not all(stables)
 
     def test_negative_beta_rejected(self, corpus):
-        spec = spectrum(combinatorial_laplacian(corpus["hollow-triangle"], 1), with_vectors=True)
+        spec = spectrum(combinatorial_laplacian(corpus["hollow-triangle"], 1))
         with pytest.raises(ValueError, match="beta must be >= 0"):
             betti_swap(spec, -1.0, shots=1000, seed=0)
 
     def test_single_shot_is_unstable(self):
-        spec = spec_with_vectors([0.0, 1.0])
+        spec = bare_spectrum([0.0, 1.0])
         est = betti_swap(spec, beta=1.0, shots=1, seed=2)
         assert not est.stable
 
     def test_trivial_kernel_override(self, corpus):
         lap = combinatorial_laplacian(corpus["filled-triangle"], 1)
-        spec = spectrum(lap, with_vectors=True)
+        spec = spectrum(lap)
         beta = 4.0 * beta_threshold(spec, spec.dim)
         est = betti_swap(spec, beta=beta, shots=10**6, seed=3)
         assert est.trivial_kernel and est.betti_floor == 0 and est.stable
 
-    def test_large_complex_uses_contraction(self):
-        # m > 16 forces the reduced-density path; floor still matches the oracle
+    def test_large_complex_floor_matches_oracle(self):
         cx = random_complex(8, 0.85, 3, seed=9)
         assert cx.num_simplices(1) > 16
-        spec = spectrum(combinatorial_laplacian(cx, 1), with_vectors=True)
+        spec = spectrum(combinatorial_laplacian(cx, 1))
         beta = 4.0 * beta_threshold(spec, spec.dim)
         est = betti_swap(spec, beta=beta, shots=10**6, seed=4)
         if est.stable:
             assert est.betti_floor == betti_exact_kernel(spec)
 
     def test_json_schema(self, corpus):
-        spec = spectrum(combinatorial_laplacian(corpus["hollow-triangle"], 1), with_vectors=True)
+        spec = spectrum(combinatorial_laplacian(corpus["hollow-triangle"], 1))
         est = betti_swap(spec, beta=5.0, shots=1000, seed=0)
         data = est.to_json_dict()
         assert set(data) == {
