@@ -155,7 +155,8 @@ def cmd_build_complex(points_path, metric, epsilon, max_dim, out_path):
 
 
 @main.command("random-complex")
-@click.option("--n", type=int, required=True, help="vertex count")
+# the edge draw is an n x n float64 array: 134 MB at the cap
+@click.option("--n", type=click.IntRange(min=1, max=4_096), required=True, help="vertex count")
 @click.option("--edge-prob", type=float, required=True)
 @click.option("--max-dim", type=int, default=3, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -245,7 +246,8 @@ def cmd_sweep(input_path, corpus_name, k, beta_min, beta_max, beta_steps, criter
 
 
 @main.command("scaling")
-@click.option("--n", type=click.IntRange(min=2), default=10, show_default=True)
+# each instance draws an n x n float64 edge array: 134 MB at the cap
+@click.option("--n", type=click.IntRange(min=2, max=4_096), default=10, show_default=True)
 @click.option("--k", "ks", type=click.IntRange(min=0), multiple=True, default=(1, 2, 3, 4), show_default=True)
 @click.option("--instances", type=int, default=300, show_default=True)
 @click.option("--criterion", type=POSITIVE, default=DEFAULT_CRITERION, show_default=True)

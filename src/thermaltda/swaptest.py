@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .homology import Spectrum
-from .thermal import DEFAULT_CRITERION, DEFAULT_FLOOR_GUARD, betti_thermal
+from .thermal import DEFAULT_CRITERION, DEFAULT_FLOOR_GUARD, betti_thermal, floor_of_inverse
 
 # Stability band half-width in units of the binomial deviation.  At high
 # beta the inverse purity sits essentially on the integer boundary, so the
@@ -74,30 +74,17 @@ def purification_state(spec: Spectrum, beta: float) -> StateVector:
     return StateVector(padded.reshape(-1), 2 * n)
 
 
-def swap_test_probabilities(
-    state_a: StateVector,
-    state_b: StateVector,
-    swap_a=None,
-    swap_b=None,
-) -> tuple[float, float]:
+def swap_test_probabilities(state_a: StateVector, state_b: StateVector) -> tuple[float, float]:
     """Exact ancilla Born probabilities of the SWAP test between two states.
 
     Builds the joint statevector (1 ancilla + both inputs), applies
-    Hadamard, the controlled swap of the listed qubit pairs, Hadamard, and
-    reads off the ancilla marginals.  By default the swapped registers are
-    the leading half of each input (the system sub-registers of
-    purifications).  P0 - P1 equals Tr{rho_A rho_B}.
+    Hadamard, the controlled swap of the leading half of each input (the
+    system sub-registers of purifications), Hadamard, and reads off the
+    ancilla marginals.  P0 - P1 equals Tr{rho_A rho_B}.
     """
-    if swap_a is None:
-        swap_a = tuple(range(state_a.n_qubits // 2))
-    if swap_b is None:
-        swap_b = tuple(range(state_b.n_qubits // 2))
-    swap_a, swap_b = tuple(swap_a), tuple(swap_b)
-    if len(swap_a) != len(swap_b):
-        raise ValueError("swap registers must have equal size")
     qa, qb = state_a.n_qubits, state_b.n_qubits
-    if any(q < 0 or q >= qa for q in swap_a) or any(q < 0 or q >= qb for q in swap_b):
-        raise ValueError("swap qubit index out of range")
+    if qa // 2 != qb // 2:
+        raise ValueError("swap registers must have equal size")
 
     # joint tensor, axes: [ancilla, a_0..a_{qa-1}, b_0..b_{qb-1}]
     joint = np.tensordot(
@@ -110,9 +97,8 @@ def swap_test_probabilities(
     psi = np.stack([(psi[0] + psi[1]), (psi[0] - psi[1])]) / math.sqrt(2.0)
     # controlled swap: permute axes of the ancilla=1 branch
     perm = list(range(qa + qb))
-    for a_q, b_q in zip(swap_a, swap_b):
-        ia, ib = a_q, qa + b_q
-        perm[ia], perm[ib] = perm[ib], perm[ia]
+    for q in range(qa // 2):
+        perm[q], perm[qa + q] = perm[qa + q], perm[q]
     psi = np.stack([psi[0], np.transpose(psi[1], perm)])
     # Hadamard on ancilla
     psi = np.stack([(psi[0] + psi[1]), (psi[0] - psi[1])]) / math.sqrt(2.0)
@@ -185,10 +171,11 @@ class SwapBettiEstimate:
         return asdict(self)
 
 
-def _floor_of_inverse(purity_value: float, guard: float) -> int | None:
+def _shot_floor(purity_value: float, guard: float) -> int | None:
+    """floor_of_inverse of a shot estimate read as at most 1; None unless positive."""
     if purity_value <= 0.0:
         return None
-    return int(math.floor(1.0 / min(purity_value, 1.0) + guard))
+    return floor_of_inverse(min(purity_value, 1.0), guard)
 
 
 def betti_swap(
@@ -215,15 +202,15 @@ def betti_swap(
 
     estimate = result.purity_estimate
     margin = STABILITY_BAND_SIGMAS * (2.0 * math.sqrt(p0 * (1.0 - p0) / shots))
-    floor_mid = _floor_of_inverse(estimate, guard)
+    floor_mid = _shot_floor(estimate, guard)
     if thermal.trivial_kernel:
         floor, stable = 0, True
     elif floor_mid is None:
         floor, stable = 0, False
     else:
         floor = floor_mid
-        lo = _floor_of_inverse(estimate + margin, guard)
-        hi = _floor_of_inverse(estimate - margin, guard)
+        lo = _shot_floor(estimate + margin, guard)
+        hi = _shot_floor(estimate - margin, guard)
         stable = lo == floor_mid and hi == floor_mid
     return SwapBettiEstimate(
         beta=beta,

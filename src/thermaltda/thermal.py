@@ -1,16 +1,21 @@
 """Betti estimation from Gibbs-state purity of a Laplacian spectrum.
 
 One kernel, ``spectral_sums``, evaluates the partition sums of a spectrum
-along an array of inverse temperatures in a single pass: Z1 and Z2 (the
-shifted sums at beta and 2 beta), the normalized partition function z_norm
-and the cooling rate, the last two in log-sum-exp form so that beta up to
-1e6 and eigenvalues up to 1e3 stay finite.  It is the only place that
-checks beta >= 0.  Purity is Z2/Z1^2; its inverse descends monotonically
-to the kernel dimension as beta grows, and the floor is the Betti
-estimate.  Collision entropy, Uhlmann fidelity and Hilbert-Schmidt
-distance follow from the purity, so all are one-line views of the kernel.
-Everything here is exact up to floating point; shot noise lives in the
-swap-test module.
+along an array of inverse temperatures in a single pass.  Every term is
+shifted once by the smallest eigenvalue: w = exp(-beta (lam - lam_min))
+lies in (0, 1], so Z1 = sum w and Z2 (the same at 2 beta) cannot overflow,
+and the normalized partition function and the cooling rate are
+exp(-beta lam_min)/m times sum w and sum lam w.  That factor exceeds 1
+only through eigensolver rounding of a zero lam_min (|lam_min| ~ 1e-13),
+so nothing overflows for beta up to MAX_BETA.  Shifting by the extreme
+exponent is what makes such a sum safe; a log-sum-exp would pay only if
+the log itself were the output, and here the sums are.
+The kernel is the only place that checks beta >= 0.  Purity is Z2/Z1^2;
+its inverse descends monotonically to the kernel dimension as beta grows,
+and its floor is the Betti estimate.  Collision entropy, Uhlmann fidelity
+and Hilbert-Schmidt distance follow from the purity, so all are fields of
+one estimate.  Everything here is exact up to floating point; shot noise
+lives in the swap-test module.
 """
 
 from __future__ import annotations
@@ -39,32 +44,10 @@ SWEEP_CSV_HEADER = (
 class SpectralSums(NamedTuple):
     """Partition sums of one spectrum, one entry per beta."""
 
-    z1: np.ndarray  # sum exp(-beta (lam - lam_min))
+    z1: np.ndarray  # sum w, with w = exp(-beta (lam - lam_min)) in (0, 1]
     z2: np.ndarray  # the same at 2 beta
-    z_norm: np.ndarray  # (1/m) sum exp(-beta lam); 0 once it underflows
-    rate: np.ndarray  # (1/m) sum lam exp(-beta lam); 0 once it underflows
-
-
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """log sum exp along each row, in the arithmetic of scipy.special.logsumexp.
-
-    The tied maxima are counted and kept out of the sum s of the shifted
-    exponentials: log1p(s / count) + log(count) + max.
-    """
-    a_max = a.max(axis=1, keepdims=True)
-    at_max = a == a_max
-    count = at_max.sum(axis=1, keepdims=True, dtype=float)
-    s = np.where(at_max, 0.0, np.exp(a - a_max)).sum(axis=1, keepdims=True)
-    return (np.log1p(s / count) + np.log(count) + a_max)[:, 0]
-
-
-def _exp_logs(logs: np.ndarray) -> np.ndarray:
-    """exp of each log value, 0 below the double range.
-
-    Per value through math.exp: np.exp differs from it in the last bit for
-    some inputs, which would change the z_norm written to output files.
-    """
-    return np.array([math.exp(v) if v > -745.0 else 0.0 for v in logs])
+    z_norm: np.ndarray  # (1/m) sum exp(-beta lam) = exp(-beta lam_min) z1 / m
+    rate: np.ndarray  # (1/m) sum lam exp(-beta lam), negative rounding of lam clipped to 0
 
 
 def spectral_sums(spec: Spectrum, betas) -> SpectralSums:
@@ -76,18 +59,12 @@ def spectral_sums(spec: Spectrum, betas) -> SpectralSums:
     if (betas < 0.0).any():
         raise ValueError("beta must be >= 0")
     lam = spec.eigenvalues
-    log_m = math.log(lam.size)
     shifted = lam - lam[0]
-    z1 = np.exp(-betas * shifted).sum(axis=1)
+    w = np.exp(-betas * shifted)
+    z1 = w.sum(axis=1)
     z2 = np.exp(-2.0 * betas * shifted).sum(axis=1)
-    z_norm = _exp_logs(_logsumexp_rows(-betas * lam) - log_m)
-    # sum lam e^{-beta lam} in log space; lam <= 0 terms contribute 0 or nothing
-    positive = lam[lam > 0.0]
-    if positive.size:
-        rate = _exp_logs(_logsumexp_rows(np.log(positive) - betas * positive) - log_m)
-    else:
-        rate = np.zeros(betas.shape[0])
-    return SpectralSums(z1, z2, z_norm, rate)
+    scale = np.exp(-betas[:, 0] * lam[0]) / lam.size
+    return SpectralSums(z1, z2, scale * z1, scale * (w @ np.maximum(lam, 0.0)))
 
 
 def _at(spec: Spectrum, beta: float) -> SpectralSums:
@@ -107,8 +84,7 @@ def partition_terms(spec: Spectrum, beta: float) -> tuple[float, float, float]:
 
 def purity(spec: Spectrum, beta: float) -> float:
     """Tr{rho_beta^2} = Z(2 beta)/Z(beta)^2; lies in [1/m, 1]."""
-    z1, z2, _, _ = _at(spec, beta)
-    return z2 / (z1 * z1)
+    return betti_thermal(spec, beta).purity
 
 
 def renyi2(purity_value: float) -> float:
@@ -125,8 +101,7 @@ def uhlmann_fidelity(spec: Spectrum, tau: float, m: int) -> float:
     simplices; tau is the imaginary time, identified with beta.
     """
     _check_dim(spec, m)
-    z1, z2, _, _ = _at(spec, tau)
-    return z1 * z1 / (z2 * m)
+    return betti_thermal(spec, tau).fidelity
 
 
 def hs_distance(spec: Spectrum, beta: float, m: int) -> float:
@@ -136,12 +111,21 @@ def hs_distance(spec: Spectrum, beta: float, m: int) -> float:
     beta = 0 or for a flat spectrum.
     """
     _check_dim(spec, m)
-    return purity(spec, beta) - 1.0 / m
+    return betti_thermal(spec, beta).hs_distance
 
 
 def cooling_rate(spec: Spectrum, tau: float) -> float:
     """|d/dtau| of the normalized partition function, (1/m) sum lam exp(-tau lam)."""
     return _at(spec, tau).rate
+
+
+def floor_of_inverse(purity_value: float, guard: float) -> int:
+    """The Betti estimate of a purity in (0, 1]: floor(1/purity + guard).
+
+    The guard keeps 0.999..-type rounding from dropping the floor by one;
+    it is far above accumulated rounding and far below the level spacing 1.
+    """
+    return int(math.floor(1.0 / purity_value + guard))
 
 
 def detect_trivial_kernel(z_norm: float, m: int) -> bool:
@@ -208,10 +192,9 @@ def betti_thermal(
 ) -> ThermalEstimate:
     """Floored inverse purity at a given beta, with the trivial-kernel override.
 
-    The guard keeps 0.999..-type rounding from dropping the floor by one;
-    it is far above accumulated rounding and far below the level spacing 1.
-    When the normalized partition function signals an empty kernel, the
-    floor is overridden to 0 and the raw inverse purity retained.
+    The floor is ``floor_of_inverse`` of the purity.  When the normalized
+    partition function signals an empty kernel, the floor is overridden to
+    0 and the raw inverse purity retained.
     """
     return _estimates(spec, np.array([beta], dtype=float), guard, criterion)[0]
 
@@ -230,7 +213,7 @@ def _estimates(
         estimates.append(
             ThermalEstimate(
                 beta=beta, purity=pur, inverse_purity=inv,
-                betti_floor=0 if trivial else int(math.floor(inv + guard)),
+                betti_floor=0 if trivial else floor_of_inverse(pur, guard),
                 renyi2=renyi2(pur), fidelity=inv / m, hs_distance=pur - 1.0 / m,
                 z_norm=z_norm, converged=rate <= criterion, trivial_kernel=trivial,
             )

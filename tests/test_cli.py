@@ -364,6 +364,8 @@ class TestBadInput:
             # dimensions and counts outside what the library or the sampler accept
             ("scaling", "--n", 4, "--instances", 1, "--k", -1, "--out", "OUT"),
             ("random-complex", "--n", 4, "--edge-prob", 0.5, "--max-dim", -1, "--out", "OUT"),
+            ("random-complex", "--n", 4_097, "--edge-prob", 0.5, "--out", "OUT"),
+            ("scaling", "--n", 4_097, "--instances", 1, "--out", "OUT"),
             ("betti", *HOLLOW, "--method", "swap", "--shots", 2**63),
             ("build-complex", "--points", PointsFile("0,0\n1,0\n"), "--epsilon", "nan", "--out", "OUT"),
         ],

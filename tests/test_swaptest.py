@@ -134,7 +134,7 @@ class TestSwapTestProbabilities:
         a = purification_state(spec_with_vectors([0.0, 0.0]), 0.0)
         b = purification_state(spec_with_vectors([0.0, 0.0, 0.0, 0.0]), 0.0)
         with pytest.raises(ValueError):
-            swap_test_probabilities(a, b, swap_a=(0,), swap_b=(0, 1))
+            swap_test_probabilities(a, b)
 
     def test_contraction_path_agrees_with_circuit(self):
         rng = np.random.default_rng(17)

@@ -1,9 +1,10 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
-from scipy.special import logsumexp
 
 from conftest import CORPUS_BETTI, random_complex_family, random_spectra
 from thermaltda.complexes import random_complex
@@ -56,21 +57,18 @@ class TestSpectralSums:
     BETAS = [0.0, 0.01, 0.5, 2.0, 50.0, 1e3, 1e6]
 
     @staticmethod
-    def scipy_reference(spec, beta):
-        """z_norm and rate as the scipy logsumexp expressions they replay."""
-        lam = spec.eigenvalues
-        log_m = math.log(lam.size)
-        log_znorm = float(logsumexp(-beta * lam) - log_m)
-        positive = lam[lam > 0.0]
-        if positive.size == 0:
-            return math.exp(log_znorm) if log_znorm > -745.0 else 0.0, 0.0
-        log_rate = float(logsumexp(np.log(positive) - beta * positive)) - log_m
-        return (
-            math.exp(log_znorm) if log_znorm > -745.0 else 0.0,
-            math.exp(log_rate) if log_rate > -745.0 else 0.0,
-        )
+    def decimal_reference(spec, beta):
+        """z_norm and rate from their definitions, to 50 significant digits."""
+        with localcontext() as ctx:
+            ctx.prec = 50
+            lam = [Decimal(float(v)) for v in spec.eigenvalues]
+            terms = [(-Decimal(beta) * v).exp() for v in lam]
+            m = len(lam)
+            return sum(terms) / m, sum(v * t for v, t in zip(lam, terms)) / m
 
-    def test_matches_scipy_logsumexp(self):
+    def test_matches_decimal_reference(self):
+        """z_norm and rate within 1e-12 relative of the 50-digit sums, and
+        below 1e-300 where those are; Z1 and Z2 keep their expressions."""
         for spec in random_spectra(60) + [HOLLOW, FLAT3, spec_of([0.0, 0.0])]:
             betas = list(self.BETAS)
             if np.any(spec.eigenvalues >= spec.tol_kernel):
@@ -79,9 +77,11 @@ class TestSpectralSums:
             sums = spectral_sums(spec, np.array(betas))
             shifted = spec.eigenvalues - spec.eigenvalues[0]
             for i, beta in enumerate(betas):
-                z_norm, rate = self.scipy_reference(spec, beta)
-                assert sums.z_norm[i] == z_norm
-                assert sums.rate[i] == rate
+                for got, ref in zip((sums.z_norm[i], sums.rate[i]), self.decimal_reference(spec, beta)):
+                    if ref >= Decimal("1e-300"):
+                        assert abs(Decimal(float(got)) - ref) <= Decimal("1e-12") * ref, (beta, got, ref)
+                    else:
+                        assert got < 1e-300, (beta, got, ref)
                 assert sums.z1[i] == np.exp(-beta * shifted).sum()
                 assert sums.z2[i] == np.exp(-2.0 * beta * shifted).sum()
 
@@ -97,6 +97,33 @@ class TestSpectralSums:
     def test_negative_beta_rejected(self, view):
         with pytest.raises(ValueError, match="beta must be >= 0"):
             view()
+
+
+# PSD spectra: a kernel of exact zeros or of eigensolver-rounding values, or none
+psd_spectra = st.builds(
+    lambda kernel, positive: spec_of(np.sort(np.array(kernel + positive))),
+    st.lists(st.sampled_from([0.0, 1e-13, -1e-13]), max_size=3),
+    st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=20),
+)
+beta_pairs = st.lists(st.floats(0.0, 1e3), min_size=2, max_size=2).map(sorted)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(spec=psd_spectra, betas=beta_pairs)
+def test_inverse_purity_in_range_and_non_increasing(spec, betas):
+    """1/P lies in [1, m] and does not increase with beta (relative slack 1e-12)."""
+    sums = spectral_sums(spec, betas)
+    inv = sums.z1**2 / sums.z2
+    assert np.all(inv >= 1.0 - 1e-12) and np.all(inv <= spec.dim * (1.0 + 1e-12))
+    assert inv[1] <= inv[0] * (1.0 + 1e-12)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(spec=psd_spectra, betas=beta_pairs)
+def test_cooling_rate_non_increasing(spec, betas):
+    """The premise of beta_threshold's bisection (relative slack 1e-12)."""
+    rate = spectral_sums(spec, betas).rate
+    assert rate[1] <= rate[0] * (1.0 + 1e-12)
 
 
 class TestPartitionTerms:
