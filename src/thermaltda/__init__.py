@@ -38,7 +38,6 @@ from .thermal import (
     betti_thermal,
     detect_trivial_kernel,
     hs_distance,
-    partition_terms,
     purity,
     renyi2,
     sweep,

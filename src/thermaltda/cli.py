@@ -11,6 +11,7 @@ numerical failure.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import click
 import numpy as np
@@ -91,6 +92,12 @@ def _write_json(payload: dict, out_path) -> None:
             fh.write(text)
 
 
+def _save_complex(cx: SimplicialComplex, out_path) -> None:
+    """Write the complex and print its simplex count per dimension."""
+    cx.save(out_path)
+    click.echo(json.dumps({"num_simplices": {str(k): cx.num_simplices(k) for k in sorted(cx.sets)}}))
+
+
 def _read_complex(input_path, corpus_name) -> SimplicialComplex:
     if (input_path is None) == (corpus_name is None):
         raise click.UsageError("provide exactly one of --input or --corpus")
@@ -148,10 +155,7 @@ def main():
 def cmd_build_complex(points_path, metric, epsilon, max_dim, out_path):
     """Clique complex of a point cloud at one filtration scale."""
     cloud = load_point_cloud(points_path)
-    cx = build_clique_complex(cloud, metric, epsilon, min(max_dim, cloud.n - 1))
-    cx.save(out_path)
-    sizes = {k: cx.num_simplices(k) for k in sorted(cx.sets)}
-    click.echo(json.dumps({"num_simplices": {str(k): v for k, v in sizes.items()}}))
+    _save_complex(build_clique_complex(cloud, metric, epsilon, min(max_dim, cloud.n - 1)), out_path)
 
 
 @main.command("random-complex")
@@ -163,9 +167,7 @@ def cmd_build_complex(points_path, metric, epsilon, max_dim, out_path):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def cmd_random_complex(n, edge_prob, max_dim, seed, out_path):
     """Clique complex of an Erdos-Renyi graph."""
-    cx = random_complex(n, edge_prob, max_dim, seed)
-    cx.save(out_path)
-    click.echo(json.dumps({"num_simplices": {str(k): cx.num_simplices(k) for k in sorted(cx.sets)}}))
+    _save_complex(random_complex(n, edge_prob, max_dim, seed), out_path)
 
 
 @main.command("betti")
@@ -203,7 +205,7 @@ def cmd_betti(input_path, corpus_name, k, method, beta, criterion, guard, shots,
             est = betti_thermal(spec, beta, guard=guard, criterion=criterion)
         else:
             est = betti_swap(spec, beta, shots, seed, guard=guard, criterion=criterion)
-        payload = {"method": method, "k": k, **est.to_json_dict(), "meta": _meta()}
+        payload = {"method": method, "k": k, **asdict(est), "meta": _meta()}
     _write_json(payload, out_path)
 
 
@@ -295,13 +297,7 @@ def cmd_discriminant_check(input_path, corpus_name, k, beta, grid_m, steps, out_
     jumps = pauli_jumps(n_qubits)
     schedule = [beta * i / steps for i in range(steps + 1)] if beta > 0 else [0.0]
     report = annealing_path(padded, jumps, grid_m, schedule)
-    payload = {
-        "grid_m": grid_m,
-        "beta_target": beta,
-        **report.to_json_dict(),
-        "meta": _meta(),
-    }
-    _write_json(payload, out_path)
+    _write_json({"grid_m": grid_m, "beta_target": beta, **asdict(report), "meta": _meta()}, out_path)
 
 
 if __name__ == "__main__":

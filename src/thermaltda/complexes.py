@@ -20,6 +20,13 @@ Simplex = tuple[int, ...]
 
 METRICS = ("euclidean", "manhattan", "chebyshev")
 
+# Enumeration budget, total over all dimensions.  random_complex(34, 0.95, 5, 0)
+# has 890,707 simplices and took 6-9 s at 274 MB peak; (24, 0.95, 5, 0) has
+# 85,014 and took 0.5-0.8 s at 69 MB (2-core VM).  The budget stops a dense
+# graph or a high max_dim long before memory runs out, and is over 100x the
+# 9,579 simplices of the 40-vertex complex of perfbench's betti-large workload.
+MAX_SIMPLICES = 1_000_000
+
 
 class PointCloudError(ValueError):
     """Malformed point-cloud input (ragged or non-numeric rows)."""
@@ -176,21 +183,29 @@ def _cliques_from_adjacency(adj: np.ndarray, max_dim: int) -> dict[int, list[Sim
 
     A clique is only ever extended by vertices greater than its maximum, so
     each clique is produced exactly once and in lexicographic order.
+    Raises ValueError before the simplex count passes MAX_SIMPLICES.
     """
     n = adj.shape[0]
     sets: dict[int, list[Simplex]] = {0: [(v,) for v in range(n)]}
     neighbors_above = [np.flatnonzero(adj[v, v + 1:]) + v + 1 for v in range(n)]
     current = sets[0]
+    room = MAX_SIMPLICES - n
     for k in range(1, max_dim + 1):
         nxt: list[Simplex] = []
         for clique in current:
             for v in neighbors_above[clique[-1]]:
                 if all(adj[u, v] for u in clique[:-1]):
+                    if len(nxt) >= room:
+                        raise ValueError(
+                            f"clique complex exceeds {MAX_SIMPLICES:,} simplices; "
+                            "lower max_dim or the edge density"
+                        )
                     nxt.append(clique + (int(v),))
         if not nxt:
             break
         sets[k] = nxt
         current = nxt
+        room -= len(nxt)
     return sets
 
 

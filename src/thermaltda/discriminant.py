@@ -19,7 +19,7 @@ eigenvector is the canonical purification exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,24 +117,23 @@ def pauli_jumps(n_qubits: int) -> JumpSet:
     return JumpSet(operators=ops)
 
 
-def _fourier_components(
-    op: np.ndarray,
-    evals: np.ndarray,
-    evecs: np.ndarray,
-    grid: FrequencyGrid,
-    window: GaussianWindow,
-) -> np.ndarray:
-    """Stack of A(omega) over grid.omegas, computed in the H eigenbasis.
+def _smear(evals: np.ndarray, grid: FrequencyGrid, window: GaussianWindow) -> np.ndarray:
+    """Smeared phases sum_t f(t) e^{i(omega + E_a - E_b)t}, shape (M, dim, dim).
 
-    The smeared phases sum_t f(t) e^{i(omega + E_a - E_b)t} of all grid
-    frequencies are one (omega, t) x (t, ab) matrix product.
+    They depend only on H's levels, the grid and the window, so one stack
+    serves every jump; all grid frequencies are one (omega, t) x (t, ab)
+    matrix product.
     """
-    in_basis = evecs.conj().T @ op @ evecs
     gaps = (evals[:, None] - evals[None, :]).reshape(-1)
     times = grid.times
     weighted = window.weights * np.exp(1j * np.multiply.outer(grid.omegas, times))
-    smear = (weighted @ np.exp(1j * np.multiply.outer(times, gaps))).reshape(-1, *op.shape)
-    return evecs @ (in_basis * smear / math.sqrt(grid.m_points)) @ evecs.conj().T
+    return (weighted @ np.exp(1j * np.multiply.outer(times, gaps))).reshape(-1, evals.size, evals.size)
+
+
+def _fourier_components(op: np.ndarray, evecs: np.ndarray, smear: np.ndarray) -> np.ndarray:
+    """Stack of A(omega) over the grid: op in the H eigenbasis, smeared, rotated back."""
+    in_basis = evecs.conj().T @ op @ evecs
+    return evecs @ (in_basis * smear / math.sqrt(smear.shape[0])) @ evecs.conj().T
 
 
 def operator_fourier(
@@ -153,7 +152,7 @@ def operator_fourier(
     the operator's matrix elements; A(omega)^dagger = A(-omega).
     """
     evals, evecs = np.linalg.eigh(hamiltonian)
-    comps = _fourier_components(op, evals, evecs, grid, window)
+    comps = _fourier_components(op, evecs, _smear(evals, grid, window))
     return {float(w): comps[i] for i, w in enumerate(grid.omegas)}
 
 
@@ -250,8 +249,9 @@ def build_discriminant(
     # coherent[(i, j), (k, l)] = sum_omega rate A[i, j] conj(A[k, l])
     coherent = np.zeros((dim * dim, dim * dim), dtype=complex)
     norm_term = np.zeros((dim, dim), dtype=complex)
+    smear = _smear(evals, grid, window)
     for op in jumps.operators:
-        comps = _fourier_components(op, evals, evecs, grid, window)
+        comps = _fourier_components(op, evecs, smear)
         flat = comps.reshape(grid.m_points, dim * dim)
         coherent += (flat.T * sym_rates) @ flat.conj()
         norm_term += np.tensordot(decay_rates, comps.conj().transpose(0, 2, 1) @ comps, axes=1)
@@ -314,9 +314,6 @@ class AnnealingReport:
     steps: list[AnnealingStep]
     min_overlap: float
     final_fidelity: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def annealing_path(

@@ -11,8 +11,7 @@ deterministic under a master seed.
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -27,13 +26,11 @@ from .homology import (
 )
 from .thermal import DEFAULT_CRITERION, beta_threshold
 
-SCALING_CSV_HEADER = (
-    "instance_id,seed,k,edge_prob,num_simplices,delta_gap,betti,beta_threshold"
-)
-
 
 @dataclass(frozen=True)
 class ScalingRecord:
+    """One row of the scaling CSV; the fields are its columns, in order."""
+
     instance_id: int
     seed: int
     k: int
@@ -42,6 +39,9 @@ class ScalingRecord:
     delta_gap: float
     betti: int
     beta_threshold: float
+
+
+SCALING_CSV_HEADER = ",".join(f.name for f in fields(ScalingRecord))
 
 
 @dataclass(frozen=True)
@@ -197,38 +197,10 @@ def fit_power_law(records, group_by_k: bool = False) -> PowerLawFit:
 
 
 def write_scaling_csv(result: ScalingResult, fh) -> None:
+    """One row per record; csv writes floats by repr, so they round-trip exactly."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(SCALING_CSV_HEADER.split(","))
-    for r in result.records:
-        writer.writerow(
-            [
-                r.instance_id,
-                r.seed,
-                r.k,
-                repr(r.edge_prob),
-                r.num_simplices,
-                repr(r.delta_gap),
-                r.betti,
-                repr(r.beta_threshold),
-            ]
-        )
-
-
-def read_scaling_csv(fh) -> list[ScalingRecord]:
-    reader = csv.DictReader(fh)
-    return [
-        ScalingRecord(
-            instance_id=int(row["instance_id"]),
-            seed=int(row["seed"]),
-            k=int(row["k"]),
-            edge_prob=float(row["edge_prob"]),
-            num_simplices=int(row["num_simplices"]),
-            delta_gap=float(row["delta_gap"]),
-            betti=int(row["betti"]),
-            beta_threshold=float(row["beta_threshold"]),
-        )
-        for row in reader
-    ]
+    writer.writerows(astuple(r) for r in result.records)
 
 
 def spearman_gap_threshold(records) -> float:

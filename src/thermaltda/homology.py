@@ -81,13 +81,6 @@ class Spectrum:
     def kernel_dim(self) -> int:
         return int(np.count_nonzero(self.eigenvalues < self.tol_kernel))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "eigenvalues": [float(x) for x in self.eigenvalues],
-            "kernel_dim": self.kernel_dim,
-            "tol": self.tol_kernel,
-        }
-
 
 def spectrum(laplacian: np.ndarray, with_vectors: bool = False) -> Spectrum:
     """Full symmetric eigendecomposition, ascending.

@@ -13,7 +13,7 @@ reference the tests check that Born probability against.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,9 +166,6 @@ class SwapBettiEstimate:
     stable: bool
     trivial_kernel: bool
     converged: bool
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _shot_floor(purity_value: float, guard: float) -> int | None:

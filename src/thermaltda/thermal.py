@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .homology import Spectrum, ZeroSpectrumError
+from .homology import Spectrum, ZeroSpectrumError, spectral_gap
 
 DEFAULT_CRITERION = 1e-3
 DEFAULT_FLOOR_GUARD = 1e-9
@@ -67,19 +67,9 @@ def spectral_sums(spec: Spectrum, betas) -> SpectralSums:
     return SpectralSums(z1, z2, scale * z1, scale * (w @ np.maximum(lam, 0.0)))
 
 
-def _at(spec: Spectrum, beta: float) -> SpectralSums:
-    """The kernel at one beta, as Python floats."""
-    return SpectralSums(*(float(v[0]) for v in spectral_sums(spec, beta)))
-
-
 def _check_dim(spec: Spectrum, m: int) -> None:
     if m != spec.dim:
         raise ValueError("m must equal the spectrum dimension")
-
-
-def partition_terms(spec: Spectrum, beta: float) -> tuple[float, float, float]:
-    """(Z1, Z2, z_norm) at one beta; see ``SpectralSums``."""
-    return _at(spec, beta)[:3]
 
 
 def purity(spec: Spectrum, beta: float) -> float:
@@ -116,7 +106,7 @@ def hs_distance(spec: Spectrum, beta: float, m: int) -> float:
 
 def cooling_rate(spec: Spectrum, tau: float) -> float:
     """|d/dtau| of the normalized partition function, (1/m) sum lam exp(-tau lam)."""
-    return _at(spec, tau).rate
+    return float(spectral_sums(spec, tau).rate[0])
 
 
 def floor_of_inverse(purity_value: float, guard: float) -> int:
@@ -147,8 +137,7 @@ def beta_threshold(
     1e-6.  The rate is non-increasing in tau on a PSD spectrum.
     """
     _check_dim(spec, m)
-    if not np.any(spec.eigenvalues >= spec.tol_kernel):
-        raise ZeroSpectrumError("cooling rate is identically zero: threshold undefined")
+    spectral_gap(spec)  # raises ZeroSpectrumError: no positive level, no threshold
     if cooling_rate(spec, 0.0) <= criterion:
         return 0.0
     lo, hi = 0.0, 1.0
@@ -167,21 +156,19 @@ def beta_threshold(
 
 @dataclass(frozen=True)
 class ThermalEstimate:
-    """All per-beta outputs of the thermal estimator."""
+    """All per-beta outputs of the thermal estimator; the fields are the
+    thermal JSON keys, and the sweep CSV columns are those its header names."""
 
     beta: float
     purity: float
     inverse_purity: float
     betti_floor: int
-    renyi2: float
+    renyi2_nats: float
     fidelity: float
     hs_distance: float
     z_norm: float
     converged: bool
     trivial_kernel: bool
-
-    def to_json_dict(self) -> dict:
-        return {("renyi2_nats" if k == "renyi2" else k): v for k, v in asdict(self).items()}
 
 
 def betti_thermal(
@@ -214,7 +201,7 @@ def _estimates(
             ThermalEstimate(
                 beta=beta, purity=pur, inverse_purity=inv,
                 betti_floor=0 if trivial else floor_of_inverse(pur, guard),
-                renyi2=renyi2(pur), fidelity=inv / m, hs_distance=pur - 1.0 / m,
+                renyi2_nats=renyi2(pur), fidelity=inv / m, hs_distance=pur - 1.0 / m,
                 z_norm=z_norm, converged=rate <= criterion, trivial_kernel=trivial,
             )
         )
@@ -248,20 +235,9 @@ def sweep(
 
 
 def write_sweep_csv(result: SweepResult, fh) -> None:
-    """Plot-ready CSV, one row per grid point."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_HEADER.split(","))
-    for est in result.estimates:
-        writer.writerow(
-            [
-                repr(est.beta),
-                repr(est.purity),
-                repr(est.inverse_purity),
-                est.betti_floor,
-                repr(est.renyi2),
-                repr(est.fidelity),
-                repr(est.hs_distance),
-                repr(est.z_norm),
-                est.converged,
-            ]
-        )
+    """Plot-ready CSV, one row per grid point: the header's fields of each estimate."""
+    writer = csv.DictWriter(
+        fh, SWEEP_CSV_HEADER.split(","), extrasaction="ignore", lineterminator="\n"
+    )
+    writer.writeheader()
+    writer.writerows(asdict(est) for est in result.estimates)

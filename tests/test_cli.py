@@ -386,6 +386,30 @@ class TestBadInput:
         assert not out.exists()
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("random-complex", "--n", 20, "--edge-prob", 0.9, "--max-dim", 3),
+            ("build-complex", "--points", PointsFile("".join(f"{i},0\n" for i in range(20))),
+             "--epsilon", 100, "--max-dim", 3),
+            ("scaling", "--n", 20, "--instances", 1, "--edge-prob-lo", 0.9),
+        ],
+        ids=["random-complex", "build-complex", "scaling"],
+    )
+    def test_simplex_budget_exits_2(self, runner, tmp_path, monkeypatch, args):
+        monkeypatch.setattr("thermaltda.complexes.MAX_SIMPLICES", 100)
+        out = tmp_path / "out"
+        argv = []
+        for a in args:
+            if isinstance(a, PointsFile):
+                (tmp_path / a.name).write_text(a)
+                a = tmp_path / a.name
+            argv.append(a)
+        result = invoke(runner, *argv, "--out", out)
+        assert result.exit_code == 2, result.output
+        assert "Error:" in result.output and "simplices" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("error", [np.linalg.LinAlgError, OverflowError])
     def test_exits_3(self, runner, monkeypatch, error):
         """A solver failure or a float overflow exits 3, never a traceback."""

@@ -131,6 +131,17 @@ class TestRandomComplex:
         with pytest.raises(ValueError):
             random_complex(5, 1.5, 2, seed=0)
 
+    def test_simplex_budget(self, monkeypatch):
+        # the complete graph on 4 vertices has 4 + 6 + 4 + 1 = 15 simplices
+        monkeypatch.setattr("thermaltda.complexes.MAX_SIMPLICES", 15)
+        assert random_complex(4, 1.0, 3, seed=0).num_simplices(3) == 1
+        monkeypatch.setattr("thermaltda.complexes.MAX_SIMPLICES", 14)
+        with pytest.raises(ValueError, match="exceeds 14 simplices"):
+            random_complex(4, 1.0, 3, seed=0)
+        monkeypatch.setattr("thermaltda.complexes.MAX_SIMPLICES", 100)
+        with pytest.raises(ValueError, match="exceeds 100 simplices"):
+            random_complex(20, 0.9, 3, seed=0)
+
 
 class TestSimplicialComplex:
     def test_downward_closure_enforced(self):

@@ -118,11 +118,6 @@ class TestSpectrum:
         lap = HOLLOW_L1 * 1e6
         assert spectrum(lap).kernel_dim == 1
 
-    def test_json_dict(self):
-        spec = spectrum(HOLLOW_L1)
-        data = spec.to_json_dict()
-        assert data["kernel_dim"] == 1 and len(data["eigenvalues"]) == 3
-
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))

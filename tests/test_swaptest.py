@@ -251,7 +251,7 @@ class TestBettiSwap:
     def test_json_schema(self, corpus):
         spec = spectrum(combinatorial_laplacian(corpus["hollow-triangle"], 1))
         est = betti_swap(spec, beta=5.0, shots=1000, seed=0)
-        data = est.to_json_dict()
+        data = dataclasses.asdict(est)
         assert set(data) == {
             "beta", "shots", "count0", "count1", "purity_estimate",
             "stderr", "betti_floor", "stable", "trivial_kernel", "converged",

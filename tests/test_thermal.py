@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -18,12 +20,12 @@ from thermaltda.homology import (
 )
 from thermaltda.thermal import (
     SWEEP_CSV_HEADER,
+    ThermalEstimate,
     beta_threshold,
     betti_thermal,
     cooling_rate,
     detect_trivial_kernel,
     hs_distance,
-    partition_terms,
     purity,
     renyi2,
     spectral_sums,
@@ -89,7 +91,7 @@ class TestSpectralSums:
         "view",
         [
             lambda: spectral_sums(HOLLOW, [1.0, -0.5]),
-            lambda: partition_terms(HOLLOW, -1.0),
+            lambda: spectral_sums(HOLLOW, -1.0),
             lambda: purity(HOLLOW, -1.0),
             lambda: cooling_rate(HOLLOW, -1.0),
         ],
@@ -128,17 +130,17 @@ def test_cooling_rate_non_increasing(spec, betas):
 
 class TestPartitionTerms:
     def test_beta_zero(self):
-        z1, z2, z_norm = partition_terms(HOLLOW, 0.0)
-        assert (z1, z2, z_norm) == (3.0, 3.0, 1.0)
+        sums = spectral_sums(HOLLOW, 0.0)
+        assert (sums.z1[0], sums.z2[0], sums.z_norm[0]) == (3.0, 3.0, 1.0)
 
     def test_large_beta_limits(self):
-        z1, z2, z_norm = partition_terms(HOLLOW, 200.0)
-        assert z1 == pytest.approx(1.0, abs=1e-15)
-        assert z2 == pytest.approx(1.0, abs=1e-15)
-        assert z_norm == pytest.approx(1.0 / 3.0, abs=1e-15)
+        sums = spectral_sums(HOLLOW, 200.0)
+        assert sums.z1[0] == pytest.approx(1.0, abs=1e-15)
+        assert sums.z2[0] == pytest.approx(1.0, abs=1e-15)
+        assert sums.z_norm[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_flat_spectrum_z_norm(self):
-        _, _, z_norm = partition_terms(FLAT3, 1.0)
+        z_norm = spectral_sums(FLAT3, 1.0).z_norm[0]
         assert z_norm == pytest.approx(math.exp(-3.0), rel=1e-14)
 
 
@@ -278,7 +280,7 @@ class TestBettiThermal:
         spec = spec_of([0.0, 1.0, 1e3])
         est = betti_thermal(spec, 1e6)
         assert est.betti_floor == 1
-        assert math.isfinite(est.renyi2) and est.z_norm >= 0.0
+        assert math.isfinite(est.renyi2_nats) and est.z_norm >= 0.0
         flat = spec_of([1e3, 1e3])
         est = betti_thermal(flat, 1e6)
         assert est.z_norm == 0.0 and est.trivial_kernel
@@ -314,17 +316,17 @@ class TestBetaThreshold:
 
 class TestTrivialKernelDetection:
     def test_kernel_present(self):
-        _, _, z = partition_terms(HOLLOW, 4.0 * beta_threshold(HOLLOW, 3))
+        z = spectral_sums(HOLLOW, 4.0 * beta_threshold(HOLLOW, 3)).z_norm[0]
         assert not detect_trivial_kernel(z, 3)
 
     def test_kernel_absent(self):
         tau = beta_threshold(FLAT3, 3)
-        _, _, z = partition_terms(FLAT3, tau)
+        z = spectral_sums(FLAT3, tau).z_norm[0]
         assert z == pytest.approx(1.0 / 3000.0, rel=1e-4)
         assert detect_trivial_kernel(z, 3)
 
     def test_zero_spectrum_never_trivial(self):
-        _, _, z = partition_terms(spec_of([0.0, 0.0]), 100.0)
+        z = spectral_sums(spec_of([0.0, 0.0]), 100.0).z_norm[0]
         assert z == 1.0
         assert not detect_trivial_kernel(z, 2)
 
@@ -377,3 +379,9 @@ class TestSweep:
         first = lines[1].split(",")
         assert float(first[0]) == 0.5
         assert float(first[1]) == pytest.approx(hollow_purity(0.5), rel=1e-15)
+        rows = list(csv.reader(lines[1:]))
+        assert all(len(row) == 9 and all(row) for row in rows)
+
+    def test_csv_columns_are_estimate_fields(self):
+        names = [f.name for f in dataclasses.fields(ThermalEstimate)]
+        assert all(col in names for col in SWEEP_CSV_HEADER.split(","))
