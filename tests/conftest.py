@@ -56,6 +56,15 @@ def reduced_density(state, n_system: int) -> np.ndarray:
     return mat @ mat.conj().T
 
 
+def svd_rank(matrix) -> int:
+    """Rank of a boundary matrix from its singular values above 1e-8 * max(1,
+    largest): the dense float reference for the GF(p) reduction."""
+    if matrix.shape[0] == 0 or matrix.shape[1] == 0:
+        return 0
+    svals = np.linalg.svd(matrix.toarray().astype(float), compute_uv=False)
+    return int(np.count_nonzero(svals > 1e-8 * max(1.0, float(svals[0]))))
+
+
 def heisenberg(op: np.ndarray, hamiltonian: np.ndarray, t: float) -> np.ndarray:
     """Time-evolved operator e^{iHt} A e^{-iHt}, exact via eigendecomposition."""
     if op.shape != hamiltonian.shape:

@@ -410,6 +410,18 @@ class TestBadInput:
         assert "Error:" in result.output and "simplices" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["betti", "sweep"])
+    def test_laplacian_cap_exits_2(self, runner, tmp_path, monkeypatch, command):
+        """A loaded complex with more k-simplices than the Laplacian cap exits 2."""
+        monkeypatch.setattr("thermaltda.homology.MAX_LAPLACIAN_DIM", 4)
+        path = tmp_path / "cx.json"
+        path.write_text(json.dumps({"n_vertices": 5, "simplices": {"0": [[v] for v in range(5)]}}))
+        out = tmp_path / "out"
+        result = invoke(runner, command, "--input", path, "--k", 0, "--out", out)
+        assert result.exit_code == 2, result.output
+        assert "Error:" in result.output and "Laplacian cap" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("error", [np.linalg.LinAlgError, OverflowError])
     def test_exits_3(self, runner, monkeypatch, error):
         """A solver failure or a float overflow exits 3, never a traceback."""

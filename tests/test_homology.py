@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import CORPUS_BETTI, random_complex_family
+from conftest import CORPUS_BETTI, random_complex_family, svd_rank
 from thermaltda.complexes import from_simplices, random_complex
 from thermaltda.homology import (
     EmptySimplexSetError,
@@ -13,9 +14,26 @@ from thermaltda.homology import (
     combinatorial_laplacian,
     spectral_gap,
     spectrum,
+    _pivot_rows,
 )
 
 HOLLOW_L1 = np.array([[2.0, 1.0, -1.0], [1.0, 2.0, 1.0], [-1.0, 1.0, 2.0]])
+
+# the 6-vertex real projective plane: rational Betti numbers (1, 0, 0), and a
+# Z/2 in H_1 that makes its Betti numbers over GF(2) (1, 1, 1)
+RP2_TRIANGLES = [
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+    (1, 2, 4), (2, 3, 5), (1, 3, 4), (1, 3, 5), (2, 4, 5),
+]
+
+# random clique complexes on at most 9 vertices, every dimension up to the top
+CLIQUE_COMPLEXES = st.builds(
+    lambda n, p, seed: random_complex(n, p, n - 1, seed),
+    st.integers(3, 9),
+    st.floats(0.2, 0.95),
+    st.integers(0, 2**32 - 1),
+)
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
 
 class TestBoundaryMatrix:
@@ -76,6 +94,19 @@ class TestLaplacian:
     def test_empty_set_raises(self, corpus):
         with pytest.raises(EmptySimplexSetError):
             combinatorial_laplacian(corpus["hollow-triangle"], 2)
+
+    def test_size_cap(self, monkeypatch):
+        cx = from_simplices(5, [])
+        monkeypatch.setattr("thermaltda.homology.MAX_LAPLACIAN_DIM", 5)
+        assert combinatorial_laplacian(cx, 0).shape == (5, 5)
+        monkeypatch.setattr("thermaltda.homology.MAX_LAPLACIAN_DIM", 4)
+
+        def unbuilt(*args):
+            raise AssertionError("boundary matrix built past the cap")
+
+        monkeypatch.setattr("thermaltda.homology.boundary_matrix", unbuilt)
+        with pytest.raises(ValueError, match="Laplacian cap of 4"):
+            combinatorial_laplacian(cx, 0)
 
     def test_symmetric_psd_on_random_family(self):
         for cx in random_complex_family(15):
@@ -150,16 +181,52 @@ class TestBettiOracles:
                 spec = spectrum(combinatorial_laplacian(cx, k))
                 assert betti_exact_kernel(spec) == betti_exact_rank(cx, k).betti
 
-    def test_euler_poincare_on_random_family(self):
-        for cx in random_complex_family(25):
-            chi_simplices = sum(
-                (-1) ** k * cx.num_simplices(k) for k in range(cx.max_dim + 1)
-            )
-            chi_betti = sum(
-                (-1) ** k * betti_exact_kernel(spectrum(combinatorial_laplacian(cx, k)))
-                for k in range(cx.max_dim + 1)
-            )
-            assert chi_simplices == chi_betti
+    @PROPERTY
+    @given(cx=CLIQUE_COMPLEXES)
+    def test_euler_poincare_on_random_family(self, cx):
+        """Sum (-1)^k b_k = sum (-1)^k m_k, with b_k the kernel counts; on the
+        rank route the identity telescopes and would check nothing."""
+        chi_simplices = sum((-1) ** k * cx.num_simplices(k) for k in range(cx.max_dim + 1))
+        chi_betti = sum(
+            (-1) ** k * betti_exact_kernel(spectrum(combinatorial_laplacian(cx, k)))
+            for k in range(cx.max_dim + 1)
+        )
+        assert chi_simplices == chi_betti
+
+
+class TestExactRank:
+    @PROPERTY
+    @given(cx=CLIQUE_COMPLEXES)
+    def test_matches_svd_reference(self, cx):
+        for k in range(cx.max_dim + 1):
+            rank_dk = svd_rank(boundary_matrix(cx, k)) if k >= 1 else 0
+            expected = (cx.num_simplices(k) - rank_dk, svd_rank(boundary_matrix(cx, k + 1)))
+            ranks = betti_exact_rank(cx, k)
+            assert (ranks.dim_ker_dk, ranks.rank_dk1) == expected, k
+
+    def test_clearing_keeps_the_rank(self):
+        cleared_any = False
+        for seed in range(3):
+            cx = random_complex(14, 0.6, 4, seed)
+            for k in range(1, cx.max_dim + 1):
+                dk = boundary_matrix(cx, k)
+                skip = _pivot_rows(boundary_matrix(cx, k + 1))
+                assert len(_pivot_rows(dk, skip=skip)) == len(_pivot_rows(dk)) == svd_rank(dk)
+                cleared_any |= bool(skip)
+        assert cleared_any
+
+    def test_rp2_has_rational_betti_numbers(self):
+        cx = from_simplices(6, RP2_TRIANGLES)
+        for k, betti in enumerate((1, 0, 0)):
+            assert betti_exact_rank(cx, k).betti == betti, k
+            assert betti_exact_kernel(spectrum(combinatorial_laplacian(cx, k))) == betti, k
+
+    def test_rp2_torsion_shows_over_gf2(self, monkeypatch):
+        """Over GF(2) the torsion of RP^2 reads as homology: the test above
+        would catch an oracle that worked mod 2."""
+        monkeypatch.setattr("thermaltda.homology.PRIME", 2)
+        cx = from_simplices(6, RP2_TRIANGLES)
+        assert [betti_exact_rank(cx, k).betti for k in range(3)] == [1, 1, 1]
 
 
 class TestSpectralGap:
