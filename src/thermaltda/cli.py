@@ -106,8 +106,9 @@ def _read_complex(input_path, corpus_name) -> SimplicialComplex:
     try:
         return SimplicialComplex.load(input_path)
     # JSONDecodeError is a ValueError; AttributeError and TypeError come from a
-    # list or a number where the format has a mapping or a simplex
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    # list or a number where the format has a mapping or a simplex, and
+    # OverflowError from a number beyond the float range read as an integer
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise click.UsageError(f"invalid complex file: {exc}") from exc
 
 
@@ -225,12 +226,7 @@ def cmd_sweep(input_path, corpus_name, k, beta_min, beta_max, beta_steps, criter
         raise click.UsageError("need 0 < beta-min < beta-max")
     cx = _read_complex(input_path, corpus_name)
     spec = spectrum(combinatorial_laplacian(cx, k))
-    grid = (
-        np.logspace(np.log10(beta_min), np.log10(beta_max), beta_steps)
-        if beta_steps > 1
-        else np.array([beta_min])
-    )
-    result = thermal_sweep(spec, grid, criterion)
+    result = thermal_sweep(spec, np.geomspace(beta_min, beta_max, beta_steps), criterion)
     with open(out_path, "w", encoding="utf-8") as fh:
         write_sweep_csv(result, fh)
     if result.beta_threshold is None:
@@ -292,9 +288,8 @@ def cmd_scaling(n, ks, instances, criterion, edge_prob_lo, edge_prob_hi, seed, o
 def cmd_discriminant_check(input_path, corpus_name, k, beta, grid_m, steps, out_path):
     """Anneal the discriminant's top eigenvector toward the purification."""
     cx = _read_complex(input_path, corpus_name)
-    n_qubits = register_qubits(cx.num_simplices(k), min_qubits=1)
-    padded = pad_hamiltonian(combinatorial_laplacian(cx, k), min_qubits=1)
-    jumps = pauli_jumps(n_qubits)
+    jumps = pauli_jumps(register_qubits(cx.num_simplices(k)))
+    padded = pad_hamiltonian(combinatorial_laplacian(cx, k))
     schedule = [beta * i / steps for i in range(steps + 1)] if beta > 0 else [0.0]
     report = annealing_path(padded, jumps, grid_m, schedule)
     _write_json({"grid_m": grid_m, "beta_target": beta, **asdict(report), "meta": _meta()}, out_path)

@@ -100,6 +100,8 @@ class SimplicialComplex:
             raise ValueError("complex needs at least one vertex")
         cleaned: dict[int, list[Simplex]] = {}
         for k, simplices in self.sets.items():
+            if k < 0:
+                raise ValueError(f"simplex dimension {k} is negative")
             uniq = sorted(set(tuple(int(v) for v in s) for s in simplices))
             if not uniq:
                 continue

@@ -176,7 +176,6 @@ class DiscriminantModel:
     hamiltonian: np.ndarray
     beta: float
     d_matrix: np.ndarray
-    gammas: np.ndarray
     hermiticity_defect: float
     h_eigenvalues: np.ndarray  # eigensystem of the Hamiltonian, reused downstream
     h_eigenvectors: np.ndarray
@@ -189,30 +188,31 @@ def _check_doubled_dim(dim: int) -> None:
         )
 
 
-def register_qubits(m: int, min_qubits: int = 0) -> int:
-    """Qubits of the register that embeds m levels: ceil(log2 m), at least min_qubits.
+def register_qubits(m: int) -> int:
+    """Qubits of the register that embeds m levels: ceil(log2 m), at least one.
+
+    The floor of one qubit gives the Pauli jumps a qubit to act on even for
+    a single level.
 
     Raises ValueError if the register's doubled dimension is over the
     discriminant's cap, so a caller can reject a size before it builds
     anything of that size.
     """
-    n_qubits = max((m - 1).bit_length(), min_qubits)
+    n_qubits = max((m - 1).bit_length(), 1)
     _check_doubled_dim(2**n_qubits)
     return n_qubits
 
 
-def pad_hamiltonian(laplacian: np.ndarray, min_qubits: int = 0) -> np.ndarray:
-    """Embed a Laplacian block into the next power-of-two dimension.
+def pad_hamiltonian(laplacian: np.ndarray) -> np.ndarray:
+    """Embed a Laplacian block into the register of ``register_qubits``.
 
     Unused basis states receive a penalty energy above the top of the
     spectrum, excluding them from the low-temperature manifold without
-    touching the kernel.  ``min_qubits`` forces at least that many qubits
-    (the jump set needs a qubit to act on even for a single simplex).
-    Raises ValueError, before any eigensolve, if the padded dimension is
-    over the discriminant's cap.
+    touching the kernel.  Raises ValueError, before any eigensolve, if the
+    padded dimension is over the discriminant's cap.
     """
     m = laplacian.shape[0]
-    dim = 2 ** register_qubits(m, min_qubits)
+    dim = 2 ** register_qubits(m)
     evals = np.linalg.eigvalsh(np.asarray(laplacian, dtype=float))
     penalty = float(evals[-1] + 10.0 * (evals[-1] - evals[0] + 1.0))
     padded = np.full(dim, penalty, dtype=float)
@@ -265,7 +265,6 @@ def build_discriminant(
         hamiltonian=hamiltonian,
         beta=beta,
         d_matrix=d_matrix,
-        gammas=gammas,
         hermiticity_defect=defect,
         h_eigenvalues=evals,
         h_eigenvectors=evecs,
@@ -292,8 +291,7 @@ def top_eigenvector(model: DiscriminantModel) -> tuple[float, StateVector, float
     """
     evals, evecs = np.linalg.eigh(model.d_matrix)
     vec = evecs[:, -1]
-    n_qubits = int(round(math.log2(vec.size)))
-    return 1.0 + float(evals[-1]), StateVector(vec, n_qubits), _fidelity(vec, model, model.beta)
+    return 1.0 + float(evals[-1]), StateVector(vec), _fidelity(vec, model, model.beta)
 
 
 @dataclass(frozen=True)

@@ -30,19 +30,23 @@ STABILITY_BAND_SIGMAS = 5.0
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized amplitudes over the computational basis of q qubits."""
+    """Normalized amplitudes over the computational basis of q qubits; the
+    vector's power-of-two length 2**q is the only record of q."""
 
     amplitudes: np.ndarray
-    n_qubits: int
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2**self.n_qubits,):
-            raise ValueError("amplitude vector length must be 2**n_qubits")
+        if amps.ndim != 1 or amps.size & (amps.size - 1):
+            raise ValueError("amplitudes must be a vector of power-of-two length")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.2e}")
         object.__setattr__(self, "amplitudes", amps)
+
+    @property
+    def n_qubits(self) -> int:
+        return self.amplitudes.size.bit_length() - 1
 
 
 def sqrt_gibbs(evals: np.ndarray, evecs: np.ndarray, beta: float) -> np.ndarray:
@@ -68,10 +72,10 @@ def purification_state(spec: Spectrum, beta: float) -> StateVector:
     if spec.eigenvectors is None:
         raise ValueError("purification needs eigenvectors; recompute with with_vectors=True")
     m = spec.dim
-    n = max(int(math.ceil(math.log2(m))), 0)
-    padded = np.zeros((2**n, 2**n), dtype=complex)
+    side = 2 ** (m - 1).bit_length()
+    padded = np.zeros((side, side), dtype=complex)
     padded[:m, :m] = sqrt_gibbs(spec.eigenvalues, spec.eigenvectors, beta)
-    return StateVector(padded.reshape(-1), 2 * n)
+    return StateVector(padded.reshape(-1))
 
 
 def swap_test_probabilities(state_a: StateVector, state_b: StateVector) -> tuple[float, float]:

@@ -212,7 +212,6 @@ def _estimates(
 class SweepResult:
     """Thermal estimates along an increasing beta grid."""
 
-    betas: np.ndarray
     estimates: list[ThermalEstimate]
     beta_threshold: float | None
 
@@ -231,7 +230,7 @@ def sweep(
     except ZeroSpectrumError:
         threshold = None
     estimates = _estimates(spec, grid, DEFAULT_FLOOR_GUARD, criterion)
-    return SweepResult(betas=grid, estimates=estimates, beta_threshold=threshold)
+    return SweepResult(estimates=estimates, beta_threshold=threshold)
 
 
 def write_sweep_csv(result: SweepResult, fh) -> None:

@@ -1,11 +1,12 @@
 import json
+import math
 import os
 import tempfile
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from thermaltda.cli import main
 
@@ -184,6 +185,18 @@ class TestSweep:
         summary = json.loads(result.output.splitlines()[-1])
         assert summary["beta_threshold"] is None
 
+    @pytest.mark.parametrize("bound", [("--beta-max", 20), ("--beta-min", 0.3)], ids=lambda b: b[0])
+    def test_grid_endpoints_equal_options(self, runner, tmp_path, bound):
+        """The first and last beta rows are the options themselves, not their
+        round trip through log10."""
+        out = tmp_path / "sweep.csv"
+        result = invoke(runner, "sweep", "--corpus", "hollow-triangle", "--k", 1, *bound, "--out", out)
+        assert result.exit_code == 0, result.output
+        options = json.loads(result.output.splitlines()[-1])["meta"]["options"]
+        rows = out.read_text().splitlines()[1:]
+        assert float(rows[0].split(",")[0]) == options["beta_min"]
+        assert float(rows[-1].split(",")[0]) == options["beta_max"]
+
     def test_bad_grid_exits_2(self, runner, tmp_path):
         result = invoke(
             runner, "sweep", "--corpus", "hollow-triangle", "--k", 1,
@@ -349,6 +362,12 @@ class TestBadInput:
             ("betti", "--input", ComplexFile('{"n_vertices": 2, "simplices": [[0], [1]]}'), "--k", 0),
             ("betti", "--input", ComplexFile("[[0], [1]]"), "--k", 0),
             ("betti", "--input", ComplexFile('{"n_vertices": 2, "simplices": {"0": [0, [1]]}}'), "--k", 0),
+            # numbers beyond the float range, read as integers
+            ("betti", "--input", ComplexFile('{"n_vertices": 1e400, "simplices": {"0": [[0]]}}'), "--k", 0),
+            ("betti", "--input", ComplexFile('{"n_vertices": 2, "simplices": {"0": [[0], [1e400]]}}'), "--k", 0),
+            # the empty simplex has the length of a (-1)-simplex
+            ("betti", "--input", ComplexFile('{"n_vertices": 2, "simplices": {"-1": [[]], "0": [[0], [1]]}}'),
+             "--k", 0),
             # an output path that cannot be opened for writing
             ("betti", *HOLLOW, "--out", "OUT_IN_MISSING_DIR"),
             ("sweep", *HOLLOW, "--out", "OUT_IN_MISSING_DIR"),
@@ -460,6 +479,35 @@ def test_beta_options_exit_0_or_2(args, accepted, v):
         out = os.path.join(tmp, "out")
         result = invoke(runner, *(out if a == "OUT" else a for a in args), repr(v))
     assert result.exit_code == (0 if accepted(v) else 2), result.output
+
+
+# small ints, ints beyond int64 and every float, inf and nan among them
+_NUMBERS = st.integers(-2, 4) | st.integers(min_value=2**63) | st.floats()
+_COMPLEX_FILES = st.fixed_dictionaries({
+    "n_vertices": _NUMBERS,
+    "simplices": st.dictionaries(
+        st.sampled_from(["-1", "0", "1", "2"]),
+        st.lists(st.lists(_NUMBERS, max_size=3), max_size=4),
+        max_size=3,
+    ),
+})
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@example(data={"n_vertices": math.inf, "simplices": {"0": [[0]]}})
+@example(data={"n_vertices": 2, "simplices": {"0": [[0], [math.inf]]}})
+@example(data={"n_vertices": 2, "simplices": {"-1": [[]], "0": [[0], [1]]}})
+@given(data=_COMPLEX_FILES)
+def test_complex_files_exit_0_or_2(data):
+    """A complex file, well formed or not, runs or exits 2: never a numerical
+    failure or a traceback.  json.dump writes inf and nan as Infinity and NaN."""
+    runner = CliRunner()  # hypothesis rejects function-scoped fixtures
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cx.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        result = invoke(runner, "betti", "--input", path, "--k", 0)
+    assert result.exit_code in (0, 2), result.output
 
 
 class TestMeta:

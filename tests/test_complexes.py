@@ -152,6 +152,11 @@ class TestSimplicialComplex:
         with pytest.raises(ValueError):
             SimplicialComplex(2, {0: [(0,), (5,)]})
 
+    def test_negative_dimension_rejected(self):
+        # the empty simplex has the length k + 1 = 0 of a (-1)-simplex
+        with pytest.raises(ValueError, match="negative"):
+            SimplicialComplex(2, {-1: [()], 0: [(0,), (1,)]})
+
     def test_simplices_out_of_range_is_empty(self):
         cx = CORPUS["filled-triangle"]()
         assert cx.simplices(7) == []

@@ -162,6 +162,10 @@ class TestMetropolisWeights:
         grid = make_grid(3.0, 16)
         np.testing.assert_array_equal(metropolis_weights(grid, 0.0), np.ones(16))
 
+    def test_rates_in_unit_interval(self):
+        gammas = metropolis_weights(make_grid(bohr_coverage(Z), 16), 0.8)
+        assert np.all(gammas > 0.0) and np.all(gammas <= 1.0)
+
     @pytest.mark.parametrize("beta", [0.0, 0.37, 1.0, 2.5])
     def test_detailed_balance_ratio_exact(self, beta):
         grid = make_grid(3.0, 32)
@@ -189,13 +193,12 @@ class TestPadHamiltonian:
         np.testing.assert_allclose(pad_hamiltonian(h).real, h)
 
     def test_min_qubits(self):
-        padded = pad_hamiltonian(np.array([[3.0]]), min_qubits=1)
+        padded = pad_hamiltonian(np.array([[3.0]]))
         assert padded.shape == (2, 2) and padded[1, 1].real > 3.0
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 31, 32, 33, 64])
     def test_register_qubits_is_ceil_log2(self, m):
-        assert register_qubits(m) == math.ceil(math.log2(m))
-        assert register_qubits(m, min_qubits=3) == max(math.ceil(math.log2(m)), 3)
+        assert register_qubits(m) == max(math.ceil(math.log2(m)), 1)
 
     def test_dimension_cap_before_eigensolve(self, monkeypatch):
         # 65 levels pad to 128: a 16384-dim discriminant, over the cap
@@ -279,14 +282,6 @@ class TestDiscriminant:
         val, vec, fid = top_eigenvector(model)
         assert fid == pytest.approx(1.0, abs=1e-10)
         assert val == pytest.approx(1.0, abs=1e-10)
-
-    def test_gamma_field_matches_grid(self):
-        grid = make_grid(bohr_coverage(Z), 16)
-        model = build_discriminant(
-            Z, pauli_jumps(1), grid, gaussian_window(grid, 1.0), 0.8
-        )
-        np.testing.assert_array_equal(model.gammas, metropolis_weights(grid, 0.8))
-        assert np.all(model.gammas > 0.0) and np.all(model.gammas <= 1.0)
 
 
 class TestTopEigenvector:

@@ -84,11 +84,26 @@ class TestPurification:
         assert state.n_qubits == 0 and state.amplitudes.shape == (1,)
 
 
+class TestStateVector:
+    def test_qubits_read_off_length(self):
+        assert StateVector(np.full(8, 8**-0.5)).n_qubits == 3
+        assert StateVector(np.ones(1)).n_qubits == 0
+
+    @pytest.mark.parametrize(
+        "amps",
+        [np.full(3, 3**-0.5), np.full((2, 2), 0.5), np.ones(2), np.zeros(0)],
+        ids=["length-3", "matrix", "norm-sqrt2", "empty"],
+    )
+    def test_rejects_malformed_amplitudes(self, amps):
+        with pytest.raises(ValueError):
+            StateVector(amps)
+
+
 class TestSwapTestProbabilities:
     def test_identical_pure_states(self):
         amps = np.zeros(4)
         amps[2] = 1.0
-        state = StateVector(amps, 2)
+        state = StateVector(amps)
         p0, p1 = swap_test_probabilities(state, state)
         assert p0 == pytest.approx(1.0, abs=1e-12) and p1 == pytest.approx(0.0, abs=1e-12)
 
