@@ -106,9 +106,8 @@ def _read_complex(input_path, corpus_name) -> SimplicialComplex:
     try:
         return SimplicialComplex.load(input_path)
     # JSONDecodeError is a ValueError; AttributeError and TypeError come from a
-    # list or a number where the format has a mapping or a simplex, and
-    # OverflowError from a number beyond the float range read as an integer
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    # list or a number where the format has a mapping or a simplex
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise click.UsageError(f"invalid complex file: {exc}") from exc
 
 

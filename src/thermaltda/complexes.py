@@ -94,6 +94,10 @@ class SimplicialComplex:
 
     n_vertices: int
     sets: dict[int, list[Simplex]] = field(default_factory=dict)
+    # faces[k][j, c] is the row in sets[k-1] of the c-th face of simplex j in
+    # itertools.combinations order, which deletes vertex k - c: its boundary
+    # sign is (-1)^(k-c).  Built once, by the closure check, for k >= 1.
+    faces: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_vertices < 1:
@@ -113,16 +117,17 @@ class SimplicialComplex:
                 if s[0] < 0 or s[-1] >= self.n_vertices:
                     raise ValueError(f"simplex {s} has vertices outside [0, {self.n_vertices})")
             cleaned[k] = uniq
-        # downward closure
-        for k in sorted(cleaned):
-            if k == 0:
-                continue
-            faces_below = set(cleaned.get(k - 1, ()))
-            for s in cleaned[k]:
-                for face in itertools.combinations(s, k):
-                    if face not in faces_below:
-                        raise ValueError(f"face {face} of {s} missing: complex not closed")
         object.__setattr__(self, "sets", cleaned)
+        # downward closure: every face of a k-simplex is on a row of sets[k-1]
+        for k in sorted(cleaned.keys() - {0}):
+            row = {s: i for i, s in enumerate(cleaned.get(k - 1, ()))}
+            try:
+                flat = [row[face] for s in cleaned[k] for face in itertools.combinations(s, k)]
+            except KeyError as exc:
+                s = next(s for s in cleaned[k] if set(exc.args[0]) < set(s))
+                raise ValueError(f"face {exc.args[0]} of {s} missing: complex not closed") from None
+            self.faces[k] = np.array(flat, dtype=np.int32).reshape(-1, k + 1)
+            self.faces[k].flags.writeable = False  # both Betti oracles read it
 
     @property
     def max_dim(self) -> int:
@@ -131,6 +136,10 @@ class SimplicialComplex:
     def simplices(self, k: int) -> list[Simplex]:
         """Sorted list of k-simplices; empty outside the populated range."""
         return list(self.sets.get(k, []))
+
+    def face_table(self, k: int) -> np.ndarray:
+        """``faces[k]`` for k >= 1; an empty (0, k+1) array above the top dimension."""
+        return self.faces.get(k, np.empty((0, k + 1), dtype=np.int32))
 
     def num_simplices(self, k: int) -> int:
         return len(self.sets.get(k, ()))
@@ -145,8 +154,16 @@ class SimplicialComplex:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimplicialComplex":
-        sets = {int(k): [tuple(s) for s in v] for k, v in data["simplices"].items()}
-        return cls(n_vertices=int(data["n_vertices"]), sets=sets)
+        """Read the complex as written: a dimension key must be canonical
+        decimal, and every count and vertex a JSON integer (no bool, no float)."""
+        sets = {}
+        for key, simplices in data["simplices"].items():
+            if str(int(key)) != key:
+                raise ValueError(f"dimension key {key!r} is not a canonical integer")
+            _check_ints(list(itertools.chain.from_iterable(simplices)))
+            sets[int(key)] = [tuple(s) for s in simplices]
+        _check_ints([data["n_vertices"]])
+        return cls(n_vertices=data["n_vertices"], sets=sets)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -156,7 +173,24 @@ class SimplicialComplex:
     @classmethod
     def load(cls, path) -> "SimplicialComplex":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            return cls.from_json_dict(json.load(fh, object_pairs_hook=_unique_keys))
+
+
+def _check_ints(values: list) -> None:
+    """Raise ValueError unless every value is a JSON integer (no bool, no float)."""
+    if set(map(type, values)) - {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise ValueError(f"{json.dumps(bad)} is not an integer")
+
+
+def _unique_keys(pairs: list) -> dict:
+    """JSON object hook that rejects a repeated key instead of keeping the last."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def from_simplices(n_vertices: int, top_simplices) -> SimplicialComplex:

@@ -1,14 +1,14 @@
 """Boundary operators, combinatorial Laplacians, and exact Betti numbers.
 
-The boundary matrix of the k-simplices is assembled sparse with integer
+All of it reads the face table that ``SimplicialComplex`` builds once.  The
+boundary matrix of the k-simplices is the table's signs, sparse with integer
 entries so the chain-complex identity (boundary of a boundary vanishes)
 holds exactly; only the Laplacian is densified, for its eigensolve.  Betti
 numbers come from two independent routes that must agree: the kernel
 dimension of the Laplacian spectrum, under a float tolerance, and the
-rank-nullity count on the boundary matrices, whose ranks are exact: a
-sparse column reduction mod the prime 2^31 - 1, with clearing.  A rank mod
-p can only fall below the rank over the rationals, so p-torsion in the
-homology would raise the rank route's count and show as a disagreement.
+rank-nullity count, whose ranks are exact: a column reduction of the face
+tables mod the prime 2^31 - 1, with clearing.  A rank mod p can only fall
+below the rational rank, so p-torsion would show as a disagreement.
 """
 
 from __future__ import annotations
@@ -42,19 +42,15 @@ def boundary_matrix(cx: SimplicialComplex, k: int) -> sp.csc_matrix:
     """Signed incidence matrix of the k-simplices over the (k-1)-simplices.
 
     Column s carries (-1)^l at the row of the face obtained by deleting the
-    l-th vertex of s, for l = 0..k.  Either side may be empty, yielding a
-    matrix with zero rows or columns.
+    l-th vertex of s, for l = 0..k: row ``cx.face_table(k)[s, k - l]``.
+    Either side may be empty, yielding a matrix with zero rows or columns.
     """
     if k < 1:
         raise ValueError("boundary_matrix needs k >= 1; the 0th boundary map is zero")
-    rows = cx.simplices(k - 1)
-    cols = cx.simplices(k)
-    row_index = {s: i for i, s in enumerate(rows)}
-    # column j holds the k + 1 faces of simplex j, in order of the deleted vertex
-    ri = [row_index[s[:l] + s[l + 1:]] for s in cols for l in range(k + 1)]
-    data = np.tile((-1) ** np.arange(k + 1, dtype=np.int64), len(cols))
-    indptr = np.arange(len(cols) + 1) * (k + 1)
-    return sp.csc_matrix((data, ri, indptr), shape=(len(rows), len(cols)))
+    faces = cx.face_table(k)
+    data = np.tile((-1) ** np.arange(k, -1, -1, dtype=np.int64), len(faces))
+    indptr = np.arange(len(faces) + 1) * (k + 1)
+    return sp.csc_matrix((data, faces.flatten(), indptr), shape=(cx.num_simplices(k - 1), len(faces)))
 
 
 def combinatorial_laplacian(cx: SimplicialComplex, k: int) -> np.ndarray:
@@ -134,8 +130,8 @@ class HomologyRanks:
         return self.dim_ker_dk - self.rank_dk1
 
 
-def _pivot_rows(matrix: sp.csc_matrix, skip=frozenset()) -> set[int]:
-    """Pivot rows of the left-to-right column reduction of ``matrix`` mod PRIME.
+def _pivot_rows(faces: np.ndarray, skip=frozenset()) -> set[int]:
+    """Pivot rows of the left-to-right reduction mod PRIME of the boundary with face table ``faces``.
 
     A column's pivot is its lowest nonzero row.  Each reduced column is kept
     scaled to a unit pivot, so eliminating it takes the entry itself as the
@@ -143,14 +139,13 @@ def _pivot_rows(matrix: sp.csc_matrix, skip=frozenset()) -> set[int]:
     passed over, which leaves it unchanged when each of them depends on
     earlier columns.
     """
-    p = PRIME
-    indptr, indices = matrix.indptr.tolist(), matrix.indices.tolist()
-    data = matrix.data.tolist()
+    p, k = PRIME, faces.shape[1] - 1
+    signs = [(-1) ** (k - c) % p for c in range(k + 1)]
     reduced: dict[int, dict[int, int]] = {}  # pivot row -> unit-pivot column
-    for j in range(matrix.shape[1]):
+    for j, rows in enumerate(faces.tolist()):
         if j in skip:
             continue
-        col = {indices[t]: data[t] % p for t in range(indptr[j], indptr[j + 1])}
+        col = dict(zip(rows, signs))
         while col:
             low = max(col)
             pivot_col = reduced.get(low)
@@ -169,8 +164,8 @@ def _pivot_rows(matrix: sp.csc_matrix, skip=frozenset()) -> set[int]:
 
 
 def betti_exact_rank(cx: SimplicialComplex, k: int) -> HomologyRanks:
-    """Betti number from exact boundary-matrix ranks mod PRIME; independent
-    of the spectrum route.
+    """Betti number from exact boundary ranks mod PRIME, reduced straight off
+    the face tables; independent of the spectrum route.
 
     The (k+1)-boundary is reduced first.  A reduced cycle with pivot row i
     shows that column i of the k-boundary depends on earlier columns, so
@@ -179,8 +174,8 @@ def betti_exact_rank(cx: SimplicialComplex, k: int) -> HomologyRanks:
     m = cx.num_simplices(k)
     if m == 0:
         raise EmptySimplexSetError(f"no {k}-simplices at this scale")
-    cleared = _pivot_rows(boundary_matrix(cx, k + 1))
-    rank_dk = len(_pivot_rows(boundary_matrix(cx, k), skip=cleared)) if k >= 1 else 0
+    cleared = _pivot_rows(cx.face_table(k + 1))
+    rank_dk = len(_pivot_rows(cx.face_table(k), skip=cleared)) if k >= 1 else 0
     return HomologyRanks(dim_ker_dk=m - rank_dk, rank_dk1=len(cleared))
 
 

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from thermaltda.complexes import (
     CORPUS,
     SimplicialComplex,
+    from_simplices,
     random_complex,
 )
 
@@ -20,6 +23,55 @@ CORPUS_BETTI = {
 @pytest.fixture(scope="session")
 def corpus() -> dict[str, SimplicialComplex]:
     return {name: make() for name, make in CORPUS.items()}
+
+
+def torus(n: int) -> SimplicialComplex:
+    """The n-torus (S^1)^n, each circle on 3 vertices, by the staircase
+    triangulation: one n-simplex per vertex and order of the n unit steps.
+    Kunneth gives b_k = C(n, k)."""
+    tops = []
+    for start in itertools.product(range(3), repeat=n):
+        for order in itertools.permutations(range(n)):
+            walk = [start]
+            for axis in order:
+                step = list(walk[-1])
+                step[axis] = (step[axis] + 1) % 3
+                walk.append(tuple(step))
+            tops.append([sum(c * 3**i for i, c in enumerate(v)) for v in walk])
+    return from_simplices(3**n, tops)
+
+
+def klein_bottle(size: int = 5) -> SimplicialComplex:
+    """A size x size grid of squares, each cut along its diagonal, with one
+    pair of sides glued straight and the other with a flip.  Its rational
+    Betti numbers are (1, 1, 0); the Z/2 in H_1 makes them (1, 2, 1) over GF(2)."""
+
+    def vertex(i, j):
+        if i == size:  # crossing this seam reflects the other coordinate
+            i, j = 0, -j
+        return i * size + j % size
+
+    tops = []
+    for i, j in itertools.product(range(size), repeat=2):
+        tops.append((vertex(i, j), vertex(i + 1, j), vertex(i + 1, j + 1)))
+        tops.append((vertex(i, j), vertex(i, j + 1), vertex(i + 1, j + 1)))
+    return from_simplices(size * size, tops)
+
+
+def sphere(n: int) -> SimplicialComplex:
+    """The n-sphere as the boundary of the (n+1)-simplex."""
+    return from_simplices(n + 2, itertools.combinations(range(n + 2), n + 1))
+
+
+# complexes whose Betti numbers topology fixes, independent of both exact
+# oracles, with their simplex counts by dimension
+TOPOLOGY = {
+    "T2": (torus(2), (1, 2, 1), (9, 27, 18)),
+    "T3": (torus(3), (1, 3, 3, 1), (27, 189, 324, 162)),
+    "klein-bottle": (klein_bottle(), (1, 1, 0), (25, 75, 50)),
+    "S3": (sphere(3), (1, 0, 0, 1), (5, 10, 10, 5)),
+    "S4": (sphere(4), (1, 0, 0, 0, 1), (6, 15, 20, 15, 6)),
+}
 
 
 def random_complex_family(count: int, max_vertices: int = 8, seed: int = 1234):

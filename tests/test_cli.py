@@ -9,6 +9,8 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 from thermaltda.cli import main
+from thermaltda.complexes import SimplicialComplex, build_clique_complex, load_point_cloud, random_complex
+from thermaltda.homology import boundary_matrix
 
 
 @pytest.fixture
@@ -75,6 +77,17 @@ class TestRandomComplex:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_written_files_load_as_their_complex(self, runner, tmp_path):
+        """Every complex file the tool writes passes the strict reader."""
+        points, out = tmp_path / "points.csv", tmp_path / "cx.json"
+        points.write_text("0,0\n1,0\n0,1\n1,1\n2,2\n")
+        invoke(runner, "build-complex", "--points", points, "--epsilon", 1.5, "--max-dim", 3, "--out", out)
+        assert SimplicialComplex.load(out) == build_clique_complex(load_point_cloud(points), "euclidean", 1.5, 3)
+        invoke(runner, "random-complex", "--n", 12, "--edge-prob", 0.5, "--seed", 3, "--out", out)
+        assert SimplicialComplex.load(out) == random_complex(12, 0.5, 3, 3)
+        result = invoke(runner, "betti", "--input", out, "--k", 1, "--method", "exact")
+        assert result.exit_code == 0 and json.loads(result.output)["agree"], result.output
+
     def test_bad_probability_exits_2(self, runner, tmp_path):
         result = invoke(
             runner, "random-complex", "--n", 5, "--edge-prob", 2.0,
@@ -90,6 +103,20 @@ class TestBetti:
         data = json.loads(result.output)
         assert data["betti_kernel"] == 1 and data["betti_rank"] == 1 and data["agree"]
         assert data["meta"]["command"] == "betti"
+
+    def test_exact_query_assembles_each_boundary_once(self, runner, monkeypatch):
+        """The Laplacian builds the two boundaries; the rank oracle reads
+        the face tables and builds neither again."""
+        built = []
+
+        def counted(cx, k):
+            built.append(k)
+            return boundary_matrix(cx, k)
+
+        monkeypatch.setattr("thermaltda.homology.boundary_matrix", counted)
+        result = invoke(runner, "betti", "--corpus", "octahedron-boundary", "--k", 1)
+        assert result.exit_code == 0 and json.loads(result.output)["agree"], result.output
+        assert sorted(built) == [1, 2]
 
     def test_thermal_hollow_triangle(self, runner):
         result = invoke(runner, "betti", "--corpus", "hollow-triangle", "--k", 1, "--method", "thermal")
@@ -323,6 +350,17 @@ class PointsFile(str):
     name = "points.csv"
 
 
+# complex files that were once read as a different complex: dimension keys
+# "1" and "01" that parse to the same integer, a repeated key, fractional
+# numbers and booleans
+MISREAD_FILES = [
+    '{"n_vertices": 3, "simplices": {"0": [[0], [1], [2]], "1": [[0, 1], [1, 2]], "01": []}}',
+    '{"n_vertices": 3, "n_vertices": 2, "simplices": {"0": [[0], [1]], "1": [[0, 1]], "1": []}}',
+    '{"n_vertices": 2.9, "simplices": {"0": [[0.7], [1.2]]}}',
+    '{"n_vertices": true, "simplices": {"0": [[false]]}}',
+]
+
+
 class TestBadInput:
     """Out-of-range options and malformed inputs exit 2 with a usage error,
     never a traceback."""
@@ -362,12 +400,13 @@ class TestBadInput:
             ("betti", "--input", ComplexFile('{"n_vertices": 2, "simplices": [[0], [1]]}'), "--k", 0),
             ("betti", "--input", ComplexFile("[[0], [1]]"), "--k", 0),
             ("betti", "--input", ComplexFile('{"n_vertices": 2, "simplices": {"0": [0, [1]]}}'), "--k", 0),
-            # numbers beyond the float range, read as integers
+            # numbers beyond the float range, where the format has integers
             ("betti", "--input", ComplexFile('{"n_vertices": 1e400, "simplices": {"0": [[0]]}}'), "--k", 0),
             ("betti", "--input", ComplexFile('{"n_vertices": 2, "simplices": {"0": [[0], [1e400]]}}'), "--k", 0),
             # the empty simplex has the length of a (-1)-simplex
             ("betti", "--input", ComplexFile('{"n_vertices": 2, "simplices": {"-1": [[]], "0": [[0], [1]]}}'),
              "--k", 0),
+            *(("betti", "--input", ComplexFile(text), "--k", 0) for text in MISREAD_FILES),
             # an output path that cannot be opened for writing
             ("betti", *HOLLOW, "--out", "OUT_IN_MISSING_DIR"),
             ("sweep", *HOLLOW, "--out", "OUT_IN_MISSING_DIR"),
@@ -508,6 +547,38 @@ def test_complex_files_exit_0_or_2(data):
             json.dump(data, fh)
         result = invoke(runner, "betti", "--input", path, "--k", 0)
     assert result.exit_code in (0, 2), result.output
+
+
+def _as_written(text: str) -> set:
+    """The count and the (dimension key, simplex) pairs a complex file's text
+    spells out, each as its JSON, repeated keys included."""
+    written = set()
+    for key, value in json.loads(text, object_pairs_hook=list):
+        if key == "n_vertices":
+            written.add(json.dumps(value))
+        elif key == "simplices":
+            written |= {(dim, json.dumps(s)) for dim, simplices in value for s in simplices}
+    return written
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@example(text=MISREAD_FILES[0])
+@example(text=MISREAD_FILES[1])
+@example(text=MISREAD_FILES[2])
+@example(text=MISREAD_FILES[3])
+@given(text=_COMPLEX_FILES.map(json.dumps))
+def test_complex_files_that_run_save_back_as_written(text):
+    """A complex file that runs is the complex it spells out: saved back, it
+    has exactly its own count and simplices."""
+    runner = CliRunner()  # hypothesis rejects function-scoped fixtures
+    with tempfile.TemporaryDirectory() as tmp:
+        path, saved = os.path.join(tmp, "cx.json"), os.path.join(tmp, "saved.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if invoke(runner, "betti", "--input", path, "--k", 0).exit_code == 0:
+            SimplicialComplex.load(path).save(saved)
+            with open(saved, encoding="utf-8") as fh:
+                assert _as_written(fh.read()) == _as_written(text)
 
 
 class TestMeta:

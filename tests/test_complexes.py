@@ -145,8 +145,38 @@ class TestRandomComplex:
 
 class TestSimplicialComplex:
     def test_downward_closure_enforced(self):
-        with pytest.raises(ValueError, match="not closed"):
+        with pytest.raises(ValueError, match=r"face \(0, 1\) of \(0, 1, 2\) missing: complex not closed"):
             SimplicialComplex(3, {0: [(0,), (1,), (2,)], 2: [(0, 1, 2)]})
+        with pytest.raises(ValueError, match=r"face \(1, 2\) of \(0, 1, 2\) missing"):
+            SimplicialComplex(3, {0: [(0,), (1,), (2,)], 1: [(0, 1), (0, 2)], 2: [(0, 1, 2)]})
+
+    def test_face_table_rows(self):
+        """Column c of faces[k] is the row in sets[k-1] of the simplex with
+        vertex k - c deleted."""
+        from conftest import random_complex_family
+
+        for cx in random_complex_family(20):
+            for k in range(1, cx.max_dim + 1):
+                table = cx.face_table(k)
+                assert table.dtype == np.int32 and table.shape == (cx.num_simplices(k), k + 1)
+                below = cx.simplices(k - 1)
+                for j, s in enumerate(cx.simplices(k)):
+                    for c in range(k + 1):
+                        assert below[table[j, c]] == s[:k - c] + s[k - c + 1:]
+
+    def test_face_table_above_top_dimension_is_empty(self):
+        cx = CORPUS["filled-triangle"]()
+        assert cx.face_table(3).shape == (0, 4) and cx.face_table(3).dtype == np.int32
+
+    def test_face_table_is_read_only(self):
+        table = CORPUS["filled-triangle"]().face_table(2)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+
+    def test_face_table_stays_out_of_equality_and_repr(self):
+        cx = CORPUS["hollow-triangle"]()
+        assert cx == SimplicialComplex(cx.n_vertices, cx.sets)
+        assert "faces" not in repr(cx)
 
     def test_vertex_range_enforced(self):
         with pytest.raises(ValueError):
@@ -178,6 +208,25 @@ class TestSimplicialComplex:
         assert data["simplices"]["0"] == [[v] for v in range(7)]
         for key, simplices in data["simplices"].items():
             assert simplices == sorted(simplices)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"n_vertices": 2, "simplices": {"0": [[0], [1]], "01": [[0, 1]]}}', "dimension key '01'"),
+            ('{"n_vertices": 2, "simplices": {"0": [[0], [1]], "+1": [[0, 1]]}}', "dimension key '\\+1'"),
+            ('{"n_vertices": 2, "simplices": {"0": [[0], [1]], "1": [[0, 1]], "1": []}}', "repeated key '1'"),
+            ('{"n_vertices": 2, "n_vertices": 3, "simplices": {"0": [[0], [1]]}}', "repeated key 'n_vertices'"),
+            ('{"n_vertices": 2.0, "simplices": {"0": [[0], [1]]}}', "2.0 is not an integer"),
+            ('{"n_vertices": 2, "simplices": {"0": [[0], [1.0]]}}', "1.0 is not an integer"),
+            ('{"n_vertices": true, "simplices": {"0": [[0]]}}', "true is not an integer"),
+            ('{"n_vertices": 2, "simplices": {"0": [[false], [1]]}}', "false is not an integer"),
+        ],
+    )
+    def test_reader_rejects_what_it_would_misread(self, tmp_path, text, message):
+        path = tmp_path / "cx.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            SimplicialComplex.load(path)
 
     def test_from_simplices_adds_faces(self):
         cx = from_simplices(4, [(0, 1, 2)])

@@ -209,11 +209,23 @@ class TestExactRank:
         for seed in range(3):
             cx = random_complex(14, 0.6, 4, seed)
             for k in range(1, cx.max_dim + 1):
-                dk = boundary_matrix(cx, k)
-                skip = _pivot_rows(boundary_matrix(cx, k + 1))
-                assert len(_pivot_rows(dk, skip=skip)) == len(_pivot_rows(dk)) == svd_rank(dk)
+                faces = cx.face_table(k)
+                skip = _pivot_rows(cx.face_table(k + 1))
+                rank = svd_rank(boundary_matrix(cx, k))
+                assert len(_pivot_rows(faces, skip=skip)) == len(_pivot_rows(faces)) == rank
                 cleared_any |= bool(skip)
         assert cleared_any
+
+    def test_builds_no_boundary_matrix(self, corpus, monkeypatch):
+        """The rank route reduces the complex's face tables directly."""
+
+        def unbuilt(*args):
+            raise AssertionError("boundary matrix built by the rank oracle")
+
+        monkeypatch.setattr("thermaltda.homology.boundary_matrix", unbuilt)
+        for name, expected in CORPUS_BETTI.items():
+            for k, betti in expected.items():
+                assert betti_exact_rank(corpus[name], k).betti == betti, (name, k)
 
     def test_rp2_has_rational_betti_numbers(self):
         cx = from_simplices(6, RP2_TRIANGLES)
