@@ -1,11 +1,11 @@
 """Betti numbers of simplicial complexes from thermal-state purities.
 
-The pipeline: build a clique complex, assemble the combinatorial Laplacian
-of a chosen dimension, and read the Betti number off the floored inverse
-purity of the low-temperature Gibbs state, cross-checked against exact
-homology oracles, a simulated SWAP test with shot noise, and a dissipative
-Gibbs-sampler discriminant whose top eigenvector is the thermal state's
-purification.
+The pipeline: build a clique complex, solve the spectrum of the
+combinatorial Laplacian of a chosen dimension, and read the Betti number
+off the floored inverse purity of the low-temperature Gibbs state,
+cross-checked against exact homology oracles, a simulated SWAP test with
+shot noise, and a dissipative Gibbs-sampler discriminant whose top
+eigenvector is the thermal state's purification.
 """
 
 __version__ = "0.1.0"
@@ -28,6 +28,7 @@ from .homology import (
     betti_exact_rank,
     boundary_matrix,
     combinatorial_laplacian,
+    laplacian_spectrum,
     spectral_gap,
     spectrum,
 )

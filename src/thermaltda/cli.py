@@ -31,7 +31,7 @@ from .homology import (
     betti_exact_kernel,
     betti_exact_rank,
     combinatorial_laplacian,
-    spectrum,
+    laplacian_spectrum,
 )
 from .swaptest import betti_swap
 from .thermal import (
@@ -185,7 +185,7 @@ def cmd_random_complex(n, edge_prob, max_dim, seed, out_path):
 def cmd_betti(input_path, corpus_name, k, method, beta, criterion, guard, shots, seed, out_path):
     """Betti number of one dimension by the chosen route."""
     cx = _read_complex(input_path, corpus_name)
-    spec = spectrum(combinatorial_laplacian(cx, k))
+    spec = laplacian_spectrum(cx, k)
     if method == "exact":
         kernel = betti_exact_kernel(spec)
         ranks = betti_exact_rank(cx, k)
@@ -224,7 +224,7 @@ def cmd_sweep(input_path, corpus_name, k, beta_min, beta_max, beta_steps, criter
     if not 0.0 < beta_min < beta_max:
         raise click.UsageError("need 0 < beta-min < beta-max")
     cx = _read_complex(input_path, corpus_name)
-    spec = spectrum(combinatorial_laplacian(cx, k))
+    spec = laplacian_spectrum(cx, k)
     result = thermal_sweep(spec, np.geomspace(beta_min, beta_max, beta_steps), criterion)
     with open(out_path, "w", encoding="utf-8") as fh:
         write_sweep_csv(result, fh)

@@ -25,7 +25,10 @@ import numpy as np
 
 from .swaptest import StateVector, sqrt_gibbs
 
-MAX_DOUBLED_DIM = 4096  # D is (2^n)^2 x (2^n)^2: desk scale caps at n = 6
+# D is (2^n)^2 x (2^n)^2 and its dense eigh is O(dim^6): at n = 5 (1024^2, 17 MB)
+# a default annealing run takes seconds, at n = 6 (4096^2, 268 MB) it does not
+# finish in minutes, so the cap is n = 5, at most 32 levels
+MAX_DOUBLED_DIM = 1024
 # make_grid spans [-norm_h, norm_h): widening the level-spacing width by a
 # quarter keeps the extreme transition frequencies off the aliased edge point
 BOHR_MARGIN = 1.25

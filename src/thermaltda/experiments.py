@@ -18,11 +18,14 @@ import numpy as np
 from .complexes import SimplicialComplex, random_complex
 from .homology import (
     EmptySimplexSetError,
+    Spectrum,
     ZeroSpectrumError,
     betti_exact_kernel,
-    combinatorial_laplacian,
+    boundary_spectrum,
+    hodge_spectrum,
+    laplacian_dim,
+    laplacian_spectrum,
     spectral_gap,
-    spectrum,
 )
 from .thermal import DEFAULT_CRITERION, beta_threshold
 
@@ -68,7 +71,10 @@ def evaluate_instance(
     Raises EmptySimplexSetError or ZeroSpectrumError when the instance must
     be rejected.
     """
-    spec = spectrum(combinatorial_laplacian(cx, k))
+    return _evaluate(laplacian_spectrum(cx, k), criterion)
+
+
+def _evaluate(spec: Spectrum, criterion: float) -> tuple[float, int, float]:
     gap = spectral_gap(spec)
     threshold = beta_threshold(spec, spec.dim, criterion)
     return gap, betti_exact_kernel(spec), threshold
@@ -87,7 +93,8 @@ def scaling_experiment(
     Each instance draws its edge probability uniformly from the range and
     its own seed deterministically from (master_seed, instance_id); one
     record is emitted per requested k with a nonempty simplex set and a
-    nonzero Laplacian.
+    nonzero Laplacian.  Each boundary of an instance is solved once, for
+    both Laplacians it enters.
     """
     if instances < 1:
         raise ValueError("need at least one instance")
@@ -102,9 +109,15 @@ def scaling_experiment(
         seed, prob_seed = _instance_seeds(master_seed, instance_id)
         edge_prob = float(lo + (hi - lo) * np.random.default_rng(prob_seed).random())
         cx = random_complex(n, edge_prob, max_dim, seed)
+        boundaries: dict[int, Spectrum] = {}  # j -> boundary_spectrum(cx, j)
         for k in ks:
             try:
-                gap, betti, threshold = evaluate_instance(cx, k, criterion)
+                m = laplacian_dim(cx, k)
+                for j in (k, k + 1):
+                    if j not in boundaries:
+                        boundaries[j] = boundary_spectrum(cx, j)
+                spec = hodge_spectrum(m, boundaries[k], boundaries[k + 1])
+                gap, betti, threshold = _evaluate(spec, criterion)
             except EmptySimplexSetError:
                 rejected["empty_simplex_set"] += 1
                 continue

@@ -1,10 +1,19 @@
 """Boundary operators, combinatorial Laplacians, and exact Betti numbers.
 
-All of it reads the face table that ``SimplicialComplex`` builds once.  The
-boundary matrix of the k-simplices is the table's signs, sparse with integer
-entries so the chain-complex identity (boundary of a boundary vanishes)
-holds exactly; only the Laplacian is densified, for its eigensolve.  Betti
-numbers come from two independent routes that must agree: the kernel
+All of it reads the face table that ``SimplicialComplex`` builds once.
+Every Laplacian spectrum comes through the Hodge split: L_k =
+d_{k+1} d_{k+1}^T + d_k^T d_k, the images of the two terms are orthogonal,
+and the nonzero spectrum of each term is that of the smaller Gram matrix of
+its boundary, so one eigensolve per boundary serves both Laplacians it
+enters.  The two Gram matrices of a boundary are filled straight off the
+face table, dense, with integer entries: a pair of faces lies in at most
+one common simplex and a pair of simplices shares at most one face, so no
+entry is written twice.  The Laplacian matrix itself, for the discriminant
+laboratory, is the sum of the two Grams.  Only ``boundary_matrix``, the
+sparse integer boundary that the chain-complex identity is checked on,
+uses scipy, and imports it when called.
+
+Betti numbers come from two independent routes that must agree: the kernel
 dimension of the Laplacian spectrum, under a float tolerance, and the
 rank-nullity count, whose ranks are exact: a column reduction of the face
 tables mod the prime 2^31 - 1, with clearing.  A rank mod p can only fall
@@ -13,10 +22,10 @@ below the rational rank, so p-torsion would show as a disagreement.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .complexes import SimplicialComplex
 
@@ -38,28 +47,79 @@ class ZeroSpectrumError(ValueError):
     """Spectrum is identically zero; spectral gap and cooling threshold are undefined."""
 
 
-def boundary_matrix(cx: SimplicialComplex, k: int) -> sp.csc_matrix:
+def _signs(k: int) -> np.ndarray:
+    """Boundary sign of each face-table column: column c deletes vertex k - c."""
+    return (-1) ** np.arange(k, -1, -1, dtype=np.int64)
+
+
+def boundary_matrix(cx: SimplicialComplex, k: int) -> "scipy.sparse.csc_matrix":
     """Signed incidence matrix of the k-simplices over the (k-1)-simplices.
 
     Column s carries (-1)^l at the row of the face obtained by deleting the
     l-th vertex of s, for l = 0..k: row ``cx.face_table(k)[s, k - l]``.
     Either side may be empty, yielding a matrix with zero rows or columns.
     """
+    import scipy.sparse
+
     if k < 1:
         raise ValueError("boundary_matrix needs k >= 1; the 0th boundary map is zero")
     faces = cx.face_table(k)
-    data = np.tile((-1) ** np.arange(k, -1, -1, dtype=np.int64), len(faces))
+    data = np.tile(_signs(k), len(faces))
     indptr = np.arange(len(faces) + 1) * (k + 1)
-    return sp.csc_matrix((data, faces.flatten(), indptr), shape=(cx.num_simplices(k - 1), len(faces)))
+    return scipy.sparse.csc_matrix(
+        (data, faces.flatten(), indptr), shape=(cx.num_simplices(k - 1), len(faces))
+    )
 
 
-def combinatorial_laplacian(cx: SimplicialComplex, k: int) -> np.ndarray:
-    """Hodge Laplacian on the span of the k-simplices (dense, symmetric PSD).
+def face_gram(cx: SimplicialComplex, k: int) -> np.ndarray:
+    """d_k d_k^T, dense float, on the (k-1)-simplices.
 
-    Combines the down-term from the k-boundary and the up-term from the
-    (k+1)-boundary; for k = 0 only the up-term exists, at the top dimension
-    only the down-term.  Raises ValueError, before any boundary matrix is
-    built, when there are more than MAX_LAPLACIAN_DIM k-simplices.
+    The diagonal counts the cofaces of each face.  Faces a and b of one
+    k-simplex meet at the product of their signs; two distinct faces lie in
+    at most one common k-simplex, so each entry is set once.
+    """
+    faces, signs = cx.face_table(k), _signs(k)
+    m = cx.num_simplices(k - 1)
+    gram = np.zeros((m, m))
+    gram[np.diag_indices(m)] = np.bincount(faces.ravel(), minlength=m)
+    for a, b in itertools.permutations(range(k + 1), 2):
+        gram[faces[:, a], faces[:, b]] = signs[a] * signs[b]
+    return gram
+
+
+def simplex_gram(cx: SimplicialComplex, k: int) -> np.ndarray:
+    """d_k^T d_k, dense float, on the k-simplices.
+
+    The diagonal is k + 1.  Two simplices that share a face meet at the
+    product of their signs on it; two distinct k-simplices share at most one
+    face, so each entry is set once.  Sorting the incidences by face puts
+    the simplices on each face in one run, and comparing the sorted list
+    with itself shifted by d = 1, 2, ... pairs every two incidences of a run.
+    """
+    faces = cx.face_table(k)
+    m = len(faces)
+    gram = np.zeros((m, m))
+    gram[np.diag_indices(m)] = k + 1
+    flat = faces.ravel()
+    order = np.argsort(flat, kind="stable")
+    face = flat[order]
+    simplex = order // (k + 1)
+    sign = _signs(k)[order % (k + 1)]
+    d = 1
+    while True:
+        pair = np.flatnonzero(face[d:] == face[:-d])
+        if pair.size == 0:
+            return gram
+        a, b = simplex[pair], simplex[pair + d]
+        gram[a, b] = gram[b, a] = sign[pair] * sign[pair + d]
+        d += 1
+
+
+def laplacian_dim(cx: SimplicialComplex, k: int) -> int:
+    """Number of k-simplices, after the checks every k-Laplacian passes first.
+
+    Raises EmptySimplexSetError when there are none and ValueError when
+    there are more than MAX_LAPLACIAN_DIM, before anything is built.
     """
     m = cx.num_simplices(k)
     if m == 0:
@@ -68,17 +128,27 @@ def combinatorial_laplacian(cx: SimplicialComplex, k: int) -> np.ndarray:
         raise ValueError(
             f"{m:,} {k}-simplices exceed the Laplacian cap of {MAX_LAPLACIAN_DIM:,}"
         )
-    up = boundary_matrix(cx, k + 1)
-    lap = up @ up.T
+    return m
+
+
+def combinatorial_laplacian(cx: SimplicialComplex, k: int) -> np.ndarray:
+    """Hodge Laplacian on the span of the k-simplices (dense, symmetric PSD).
+
+    The up-term d_{k+1} d_{k+1}^T plus, for k >= 1, the down-term
+    d_k^T d_k; above the top dimension the up-term is zero.  The size
+    checks of ``laplacian_dim`` run first.
+    """
+    laplacian_dim(cx, k)
+    lap = face_gram(cx, k + 1)
     if k >= 1:
-        down = boundary_matrix(cx, k)
-        lap = lap + down.T @ down
-    return lap.astype(float).toarray()
+        lap += simplex_gram(cx, k)
+    return lap
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues of a Laplacian, with kernel count under tolerance."""
+    """Ascending eigenvalues of a Laplacian or a boundary's Gram matrix, with
+    kernel count under tolerance."""
 
     eigenvalues: np.ndarray
     tol_kernel: float
@@ -111,6 +181,42 @@ def spectrum(laplacian: np.ndarray, with_vectors: bool = False) -> Spectrum:
         evals, evecs = np.linalg.eigvalsh(laplacian), None
     tol = KERNEL_TOL_FACTOR * max(1.0, float(evals[-1]))
     return Spectrum(eigenvalues=evals, tol_kernel=tol, eigenvectors=evecs)
+
+
+def boundary_spectrum(cx: SimplicialComplex, k: int) -> Spectrum:
+    """Spectrum of the smaller Gram matrix of d_k, d_k d_k^T or d_k^T d_k.
+
+    Its nonzero eigenvalues are the squared singular values of d_k, the
+    nonzero spectrum of both Laplacian terms that d_k enters.  For k = 0
+    and for a boundary with no k-simplices it is empty, with the tolerance
+    of an all-zero spectrum.
+    """
+    m = cx.num_simplices(k)
+    if k < 1 or m == 0:
+        return Spectrum(eigenvalues=np.empty(0), tol_kernel=KERNEL_TOL_FACTOR)
+    if cx.num_simplices(k - 1) <= m:
+        return spectrum(face_gram(cx, k))
+    return spectrum(simplex_gram(cx, k))
+
+
+def hodge_spectrum(m: int, down: Spectrum, up: Spectrum) -> Spectrum:
+    """Spectrum of L_k on m simplices from those of d_k (down) and d_{k+1} (up).
+
+    The tolerance is that of the full Laplacian, whose largest eigenvalue is
+    the larger of the two boundaries'.  The eigenvalues at or above it from
+    either side are kept, and the other places are exact zeros.
+    """
+    tol = max(down.tol_kernel, up.tol_kernel)
+    kept = np.concatenate([s.eigenvalues[s.eigenvalues >= tol] for s in (down, up)])
+    evals = np.concatenate([np.zeros(m - kept.size), np.sort(kept)])
+    return Spectrum(eigenvalues=evals, tol_kernel=tol)
+
+
+def laplacian_spectrum(cx: SimplicialComplex, k: int) -> Spectrum:
+    """Ascending spectrum of the k-Laplacian through the Hodge split, with
+    the size checks of ``laplacian_dim`` first; no Laplacian is assembled."""
+    m = laplacian_dim(cx, k)
+    return hodge_spectrum(m, boundary_spectrum(cx, k), boundary_spectrum(cx, k + 1))
 
 
 def betti_exact_kernel(spec: Spectrum) -> int:

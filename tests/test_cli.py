@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -8,9 +10,9 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
+import thermaltda
 from thermaltda.cli import main
 from thermaltda.complexes import SimplicialComplex, build_clique_complex, load_point_cloud, random_complex
-from thermaltda.homology import boundary_matrix
 
 
 @pytest.fixture
@@ -20,6 +22,36 @@ def runner():
 
 def invoke(runner, *args):
     return runner.invoke(main, [str(a) for a in args])
+
+
+NO_SCIPY = """
+import json, sys
+from click.testing import CliRunner
+from thermaltda.cli import main
+for args in json.loads(sys.argv[1]):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, (args, result.output)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+sys.exit(f"scipy loaded: {loaded[:3]}" if loaded else 0)
+"""
+
+
+def test_commands_load_no_scipy(tmp_path):
+    """Only boundary_matrix, which no command calls, imports scipy."""
+    commands = [
+        ["betti", "--corpus", "octahedron-boundary", "--k", "1"],
+        ["betti", "--corpus", "octahedron-boundary", "--k", "1", "--method", "swap"],
+        ["sweep", "--corpus", "octahedron-boundary", "--k", "1", "--out", str(tmp_path / "sweep.csv")],
+        ["scaling", "--n", "6", "--instances", "5", "--out", str(tmp_path / "scaling.csv")],
+        ["discriminant-check", "--corpus", "hollow-triangle", "--k", "1", "--grid-m", "4", "--steps", "1",
+         "--out", str(tmp_path / "report.json")],
+    ]
+    src = os.path.dirname(os.path.dirname(thermaltda.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, json.dumps(commands)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestBuildComplex:
@@ -104,19 +136,29 @@ class TestBetti:
         assert data["betti_kernel"] == 1 and data["betti_rank"] == 1 and data["agree"]
         assert data["meta"]["command"] == "betti"
 
-    def test_exact_query_assembles_each_boundary_once(self, runner, monkeypatch):
-        """The Laplacian builds the two boundaries; the rank oracle reads
-        the face tables and builds neither again."""
-        built = []
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("betti", "--corpus", "octahedron-boundary", "--k", 1, "--method", "exact"),
+            ("betti", "--corpus", "octahedron-boundary", "--k", 1, "--method", "thermal"),
+            ("betti", "--corpus", "octahedron-boundary", "--k", 1, "--method", "swap"),
+            ("sweep", "--corpus", "octahedron-boundary", "--k", 1, "--out", "OUT"),
+            ("scaling", "--n", 6, "--instances", 5, "--out", "OUT"),
+        ],
+        ids=["betti exact", "betti thermal", "betti swap", "sweep", "scaling"],
+    )
+    def test_spectra_assemble_no_boundary_or_laplacian(self, runner, tmp_path, monkeypatch, args):
+        """Every spectrum on these routes comes from the boundaries' Gram
+        matrices, read off the face tables: the sparse boundary and the
+        Laplacian matrix are never built."""
 
-        def counted(cx, k):
-            built.append(k)
-            return boundary_matrix(cx, k)
+        def unbuilt(*args):
+            raise AssertionError("boundary matrix or Laplacian assembled")
 
-        monkeypatch.setattr("thermaltda.homology.boundary_matrix", counted)
-        result = invoke(runner, "betti", "--corpus", "octahedron-boundary", "--k", 1)
-        assert result.exit_code == 0 and json.loads(result.output)["agree"], result.output
-        assert sorted(built) == [1, 2]
+        for name in ("homology.boundary_matrix", "homology.combinatorial_laplacian", "cli.combinatorial_laplacian"):
+            monkeypatch.setattr(f"thermaltda.{name}", unbuilt)
+        result = invoke(runner, *(tmp_path / "out" if a == "OUT" else a for a in args))
+        assert result.exit_code == 0, result.output
 
     def test_thermal_hollow_triangle(self, runner):
         result = invoke(runner, "betti", "--corpus", "hollow-triangle", "--k", 1, "--method", "thermal")
@@ -394,6 +436,9 @@ class TestBadInput:
             (*THERMAL, "--guard", 0.5),
             (*THERMAL, "--guard", -0.5),
             (*THERMAL, "--guard", "nan"),
+            # 33 levels pad to 64: a 4096-dim discriminant, over the cap of 1024
+            ("discriminant-check", "--input", ComplexFile(json.dumps(
+                {"n_vertices": 33, "simplices": {"0": [[v] for v in range(33)]}})), "--k", 0, "--out", "OUT"),
             # zero Laplacian of power-of-two size: no level spacing for the frequency grid
             ("discriminant-check", "--input", ComplexFile('{"n_vertices": 2, "simplices": {"0": [[0], [1]]}}'),
              "--k", 0, "--out", "OUT"),

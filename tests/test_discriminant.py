@@ -196,20 +196,22 @@ class TestPadHamiltonian:
         padded = pad_hamiltonian(np.array([[3.0]]))
         assert padded.shape == (2, 2) and padded[1, 1].real > 3.0
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 31, 32, 33, 64])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 31, 32])
     def test_register_qubits_is_ceil_log2(self, m):
         assert register_qubits(m) == max(math.ceil(math.log2(m)), 1)
 
     def test_dimension_cap_before_eigensolve(self, monkeypatch):
-        # 65 levels pad to 128: a 16384-dim discriminant, over the cap
+        # 33 to 64 levels pad to 64, a 4096-dim discriminant, and 65 to 128:
+        # both over the cap of 1024 (32 levels)
         def fail(*args, **kwargs):
             raise AssertionError("eigvalsh called before the cap check")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-        with pytest.raises(ValueError, match="cap"):
-            pad_hamiltonian(np.eye(65))
-        with pytest.raises(ValueError, match="cap"):
-            register_qubits(65)
+        for m in (33, 64, 65):
+            with pytest.raises(ValueError, match="cap"):
+                pad_hamiltonian(np.eye(m))
+            with pytest.raises(ValueError, match="cap"):
+                register_qubits(m)
 
 
 def kron_loop_discriminant(h, jumps, grid, window, beta):

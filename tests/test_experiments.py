@@ -52,6 +52,36 @@ class TestScalingExperiment:
         assert betti == 1
         assert threshold == pytest.approx(math.log(2000.0) / 3.0, rel=2e-6)
 
+    def test_each_boundary_solved_once_per_instance(self, monkeypatch):
+        """One Gram eigensolve per nonempty boundary of an instance, shared by
+        the two Laplacians it enters, not one per (instance, k); the records
+        are those of solving each (instance, k) on its own."""
+        import thermaltda.experiments as experiments
+        import thermaltda.homology as homology
+
+        solved, drawn = [], []
+        solve, draw = homology.spectrum, experiments.random_complex
+
+        def counted(matrix, *args, **kwargs):
+            solved.append(matrix.shape[0])
+            return solve(matrix, *args, **kwargs)
+
+        def recorded(*args):
+            drawn.append(draw(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(homology, "spectrum", counted)
+        monkeypatch.setattr(experiments, "random_complex", recorded)
+        result = scaling_experiment(10, [1, 2, 3, 4], 20, 1e-3, (0.3, 0.9), master_seed=7)
+        boundaries = sum(1 for cx in drawn for j in range(1, 6) if cx.num_simplices(j))
+        per_k = sum(
+            1 for cx in drawn for k in (1, 2, 3, 4) for j in (k, k + 1)
+            if cx.num_simplices(k) and cx.num_simplices(j)
+        )
+        assert len(solved) == boundaries < per_k
+        for r in result.records:
+            assert evaluate_instance(drawn[r.instance_id], r.k, 1e-3) == (r.delta_gap, r.betti, r.beta_threshold)
+
     def test_rejection_rules_counted(self):
         # p = 0: the 0-Laplacian is identically zero and higher sets are empty
         result = scaling_experiment(5, [0, 1], 3, 1e-3, (0.0, 0.0), master_seed=1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CORPUS_BETTI, random_complex_family, svd_rank
+from conftest import CORPUS_BETTI, TOPOLOGY, random_complex_family, svd_rank
 from thermaltda.complexes import from_simplices, random_complex
 from thermaltda.homology import (
     EmptySimplexSetError,
@@ -11,7 +11,12 @@ from thermaltda.homology import (
     betti_exact_kernel,
     betti_exact_rank,
     boundary_matrix,
+    boundary_spectrum,
     combinatorial_laplacian,
+    face_gram,
+    hodge_spectrum,
+    laplacian_spectrum,
+    simplex_gram,
     spectral_gap,
     spectrum,
     _pivot_rows,
@@ -34,6 +39,18 @@ CLIQUE_COMPLEXES = st.builds(
     st.integers(0, 2**32 - 1),
 )
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def criterion_1_family():
+    """The 200 random clique complexes of acceptance criterion 1."""
+    rng = np.random.default_rng(2024)
+    family = []
+    for i in range(200):
+        n = int(rng.integers(4, 9))
+        p = float(rng.uniform(0.2, 0.95))
+        family.append(random_complex(n, p, n - 1, seed=5000 + i))
+    return family
 
 
 class TestBoundaryMatrix:
@@ -122,6 +139,100 @@ class TestLaplacian:
             for k in range(1, n - 1):
                 lap = combinatorial_laplacian(cx, k)
                 np.testing.assert_array_equal(lap, n * np.eye(cx.num_simplices(k)))
+
+
+class TestGrams:
+    def test_equal_the_boundary_products(self, corpus):
+        """Both Grams equal the products of the sparse boundary, exactly, up
+        to one dimension above the top, where the boundary has no columns."""
+        family = [*random_complex_family(30), *corpus.values(), *(t[0] for t in TOPOLOGY.values())]
+        for cx in family:
+            for k in range(1, cx.max_dim + 2):
+                b = boundary_matrix(cx, k).toarray().astype(float)
+                faces, simplices = face_gram(cx, k), simplex_gram(cx, k)
+                assert faces.dtype == simplices.dtype == float
+                assert np.array_equal(faces, b @ b.T), k
+                assert np.array_equal(simplices, b.T @ b), k
+
+    def test_empty_sides(self, corpus):
+        hollow = corpus["hollow-triangle"]
+        np.testing.assert_array_equal(face_gram(hollow, 2), np.zeros((3, 3)))
+        assert simplex_gram(hollow, 2).shape == (0, 0)
+        point = from_simplices(1, [])
+        np.testing.assert_array_equal(face_gram(point, 1), [[0.0]])
+        assert simplex_gram(point, 1).shape == (0, 0)
+
+    def test_laplacian_is_their_sum(self):
+        for cx in random_complex_family(15):
+            for k in range(cx.max_dim + 1):
+                up = boundary_matrix(cx, k + 1)
+                lap = up @ up.T
+                if k >= 1:
+                    down = boundary_matrix(cx, k)
+                    lap = lap + down.T @ down
+                assert np.array_equal(combinatorial_laplacian(cx, k), lap.toarray().astype(float))
+
+
+class TestHodgeSplit:
+    def test_matches_the_full_eigensolve(self, criterion_1_family):
+        """Within 1e-10 * max(1, lambda_max) of the Laplacian's own spectrum,
+        with the same kernel count and the same tolerance up to rounding."""
+        family = [*criterion_1_family, *(t[0] for t in TOPOLOGY.values())]
+        for i, cx in enumerate(family):
+            for k in range(cx.max_dim + 1):
+                full = spectrum(combinatorial_laplacian(cx, k))
+                split = laplacian_spectrum(cx, k)
+                scale = max(1.0, float(full.eigenvalues[-1]))
+                assert split.dim == full.dim
+                assert np.abs(split.eigenvalues - full.eigenvalues).max() <= 1e-10 * scale, (i, k)
+                assert split.kernel_dim == full.kernel_dim, (i, k)
+                assert split.tol_kernel == pytest.approx(full.tol_kernel, rel=1e-13, abs=0), (i, k)
+
+    def test_kernel_is_exact_zeros(self):
+        for cx in random_complex_family(15):
+            for k in range(cx.max_dim + 1):
+                spec = laplacian_spectrum(cx, k)
+                assert np.all(np.diff(spec.eigenvalues) >= 0.0)
+                assert np.all(spec.eigenvalues[: spec.kernel_dim] == 0.0)
+                assert spec.eigenvalues[spec.kernel_dim :].min(initial=np.inf) >= spec.tol_kernel
+
+    def test_hollow_triangle(self, corpus):
+        spec = laplacian_spectrum(corpus["hollow-triangle"], 1)
+        np.testing.assert_allclose(spec.eigenvalues, [0.0, 3.0, 3.0], atol=1e-12)
+        assert spec.eigenvalues[0] == 0.0 and spec.kernel_dim == 1
+
+    def test_boundary_spectrum_solves_the_smaller_gram(self, corpus):
+        cx = random_complex(9, 0.8, 4, 3)
+        for k in range(1, cx.max_dim + 1):
+            assert boundary_spectrum(cx, k).dim == min(cx.num_simplices(k - 1), cx.num_simplices(k))
+        for k in (0, cx.max_dim + 1):
+            empty = boundary_spectrum(cx, k)
+            assert empty.dim == 0 and empty.tol_kernel == 1e-8
+
+    def test_tolerance_is_the_larger_side(self):
+        small = Spectrum(eigenvalues=np.array([0.0, 2.0]), tol_kernel=1e-8)
+        large = Spectrum(eigenvalues=np.array([1e-9, 5.0, 500.0]), tol_kernel=5e-6)
+        spec = hodge_spectrum(4, small, large)
+        np.testing.assert_array_equal(spec.eigenvalues, [0.0, 2.0, 5.0, 500.0])
+        assert spec.tol_kernel == 5e-6 and spec.kernel_dim == 1
+
+    def test_zero_laplacian(self):
+        spec = laplacian_spectrum(from_simplices(3, []), 0)
+        np.testing.assert_array_equal(spec.eigenvalues, np.zeros(3))
+        assert spec.tol_kernel == 1e-8 and spec.kernel_dim == 3
+
+    def test_checks_run_before_anything_is_built(self, corpus, monkeypatch):
+        with pytest.raises(EmptySimplexSetError):
+            laplacian_spectrum(corpus["hollow-triangle"], 2)
+
+        def unbuilt(*args):
+            raise AssertionError("Gram matrix built past the cap")
+
+        monkeypatch.setattr("thermaltda.homology.MAX_LAPLACIAN_DIM", 2)
+        monkeypatch.setattr("thermaltda.homology.face_gram", unbuilt)
+        monkeypatch.setattr("thermaltda.homology.simplex_gram", unbuilt)
+        with pytest.raises(ValueError, match="Laplacian cap of 2"):
+            laplacian_spectrum(corpus["hollow-triangle"], 1)
 
 
 class TestSpectrum:
