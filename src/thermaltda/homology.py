@@ -71,6 +71,17 @@ def boundary_matrix(cx: SimplicialComplex, k: int) -> "scipy.sparse.csc_matrix":
     )
 
 
+def _dense_zeros(m: int) -> np.ndarray:
+    """An m x m float zero matrix with every page written.
+
+    np.zeros leaves its pages unmapped until they are written, and a Gram
+    matrix writes only some of them, so its resident size would depend on
+    whether the kernel backs the array with huge pages.  Written zeros make
+    it the whole matrix on every machine and every run.
+    """
+    return np.full((m, m), 0.0)
+
+
 def face_gram(cx: SimplicialComplex, k: int) -> np.ndarray:
     """d_k d_k^T, dense float, on the (k-1)-simplices.
 
@@ -80,7 +91,7 @@ def face_gram(cx: SimplicialComplex, k: int) -> np.ndarray:
     """
     faces, signs = cx.face_table(k), _signs(k)
     m = cx.num_simplices(k - 1)
-    gram = np.zeros((m, m))
+    gram = _dense_zeros(m)
     gram[np.diag_indices(m)] = np.bincount(faces.ravel(), minlength=m)
     for a, b in itertools.permutations(range(k + 1), 2):
         gram[faces[:, a], faces[:, b]] = signs[a] * signs[b]
@@ -98,7 +109,7 @@ def simplex_gram(cx: SimplicialComplex, k: int) -> np.ndarray:
     """
     faces = cx.face_table(k)
     m = len(faces)
-    gram = np.zeros((m, m))
+    gram = _dense_zeros(m)
     gram[np.diag_indices(m)] = k + 1
     flat = faces.ravel()
     order = np.argsort(flat, kind="stable")
