@@ -215,7 +215,7 @@ def cmd_betti(input_path, corpus_name, k, method, beta, criterion, guard, shots,
 @click.option("--k", type=click.IntRange(min=0), required=True)
 @click.option("--beta-min", type=BETA, default=0.01, show_default=True)
 @click.option("--beta-max", type=BETA, default=10.0, show_default=True)
-# spectral_sums holds steps x m arrays: about 1 GB peak at the cap for m = 3841
+# one kernel call per step, each O(m) memory: the cap bounds run time and rows written
 @click.option("--beta-steps", type=click.IntRange(min=1, max=10_000), default=50, show_default=True)
 @click.option("--criterion", type=POSITIVE, default=DEFAULT_CRITERION, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
@@ -264,10 +264,10 @@ def cmd_scaling(n, ks, instances, criterion, edge_prob_lo, edge_prob_hi, seed, o
         "meta": _meta(),
     }
     try:
-        fit = fit_power_law(result.records, group_by_k=True)
-        summary["fit"] = fit.to_json_dict()
+        fit = fit_power_law(result.records, group_by_k=True).to_json_dict()
+        summary["fit"] = fit
         if fit_path is not None:
-            _write_json(fit.to_json_dict(), fit_path)
+            _write_json(fit, fit_path)
     except InsufficientDataError as exc:
         click.echo(f"warning: fit withheld: {exc}", err=True)
     click.echo(json.dumps(summary, sort_keys=True))

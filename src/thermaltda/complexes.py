@@ -100,13 +100,17 @@ class SimplicialComplex:
     faces: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_ints([self.n_vertices])
         if self.n_vertices < 1:
             raise ValueError("complex needs at least one vertex")
+        object.__setattr__(self, "n_vertices", int(self.n_vertices))
         cleaned: dict[int, list[Simplex]] = {}
         for k, simplices in self.sets.items():
             if k < 0:
                 raise ValueError(f"simplex dimension {k} is negative")
-            uniq = sorted(set(tuple(int(v) for v in s) for s in simplices))
+            simplices = list(simplices)
+            _check_ints(list(itertools.chain.from_iterable(simplices)))
+            uniq = sorted(set(tuple(map(int, s)) for s in simplices))
             if not uniq:
                 continue
             for s in uniq:
@@ -155,14 +159,12 @@ class SimplicialComplex:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimplicialComplex":
         """Read the complex as written: a dimension key must be canonical
-        decimal, and every count and vertex a JSON integer (no bool, no float)."""
+        decimal; the constructor rejects a count or vertex that is not an integer."""
         sets = {}
         for key, simplices in data["simplices"].items():
             if str(int(key)) != key:
                 raise ValueError(f"dimension key {key!r} is not a canonical integer")
-            _check_ints(list(itertools.chain.from_iterable(simplices)))
-            sets[int(key)] = [tuple(s) for s in simplices]
-        _check_ints([data["n_vertices"]])
+            sets[int(key)] = simplices
         return cls(n_vertices=data["n_vertices"], sets=sets)
 
     def save(self, path) -> None:
@@ -177,10 +179,14 @@ class SimplicialComplex:
 
 
 def _check_ints(values: list) -> None:
-    """Raise ValueError unless every value is a JSON integer (no bool, no float)."""
+    """Raise ValueError unless every value is a Python or numpy integer (no
+    bool, no float): a vertex or count is never rounded to one."""
     if set(map(type, values)) - {int}:
-        bad = next(v for v in values if type(v) is not int)
-        raise ValueError(f"{json.dumps(bad)} is not an integer")
+        bad = next(
+            (v for v in values if isinstance(v, bool) or not isinstance(v, (int, np.integer))), None
+        )
+        if bad is not None:
+            raise ValueError(f"{json.dumps(bad, default=repr)} is not an integer")
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -195,9 +201,11 @@ def _unique_keys(pairs: list) -> dict:
 
 def from_simplices(n_vertices: int, top_simplices) -> SimplicialComplex:
     """Build the complex generated by ``top_simplices`` (all faces added)."""
+    top_simplices = list(top_simplices)
+    _check_ints([n_vertices, *itertools.chain.from_iterable(top_simplices)])
     sets: dict[int, set[Simplex]] = {0: {(v,) for v in range(n_vertices)}}
     for s in top_simplices:
-        s = tuple(sorted(int(v) for v in s))
+        s = tuple(sorted(map(int, s)))
         for size in range(1, len(s) + 1):
             sets.setdefault(size - 1, set()).update(itertools.combinations(s, size))
     return SimplicialComplex(n_vertices, {k: sorted(v) for k, v in sets.items()})

@@ -1,8 +1,9 @@
 """Betti estimation from Gibbs-state purity of a Laplacian spectrum.
 
 One kernel, ``spectral_sums``, evaluates the partition sums of a spectrum
-along an array of inverse temperatures in a single pass.  Every term is
-shifted once by the smallest eigenvalue: w = exp(-beta (lam - lam_min))
+at one inverse temperature; a sweep calls it once per grid point, so it
+holds O(m) memory however long the grid.  Every term is shifted once by
+the smallest eigenvalue: w = exp(-beta (lam - lam_min))
 lies in (0, 1], so Z1 = sum w and Z2 (the same at 2 beta) cannot overflow,
 and the normalized partition function and the cooling rate are
 exp(-beta lam_min)/m times sum w and sum lam w.  That factor exceeds 1
@@ -42,29 +43,25 @@ SWEEP_CSV_HEADER = (
 
 
 class SpectralSums(NamedTuple):
-    """Partition sums of one spectrum, one entry per beta."""
+    """Partition sums of one spectrum at one beta."""
 
-    z1: np.ndarray  # sum w, with w = exp(-beta (lam - lam_min)) in (0, 1]
-    z2: np.ndarray  # the same at 2 beta
-    z_norm: np.ndarray  # (1/m) sum exp(-beta lam) = exp(-beta lam_min) z1 / m
-    rate: np.ndarray  # (1/m) sum lam exp(-beta lam), negative rounding of lam clipped to 0
+    z1: float  # sum w, with w = exp(-beta (lam - lam_min)) in (0, 1]
+    z2: float  # the same at 2 beta
+    z_norm: float  # (1/m) sum exp(-beta lam) = exp(-beta lam_min) z1 / m
+    rate: float  # (1/m) sum lam exp(-beta lam), negative rounding of lam clipped to 0
 
 
-def spectral_sums(spec: Spectrum, betas) -> SpectralSums:
-    """Z1, Z2, z_norm and the cooling rate at every beta, in one pass.
-
-    ``betas`` is a scalar or a 1-D array; each field has one entry per beta.
-    """
-    betas = np.atleast_1d(np.asarray(betas, dtype=float))[:, None]
-    if (betas < 0.0).any():
+def spectral_sums(spec: Spectrum, beta: float) -> SpectralSums:
+    """Z1, Z2, z_norm and the cooling rate at one inverse temperature."""
+    if beta < 0.0:
         raise ValueError("beta must be >= 0")
     lam = spec.eigenvalues
     shifted = lam - lam[0]
-    w = np.exp(-betas * shifted)
-    z1 = w.sum(axis=1)
-    z2 = np.exp(-2.0 * betas * shifted).sum(axis=1)
-    scale = np.exp(-betas[:, 0] * lam[0]) / lam.size
-    return SpectralSums(z1, z2, scale * z1, scale * (w @ np.maximum(lam, 0.0)))
+    w = np.exp(-beta * shifted)
+    z1 = float(w.sum())
+    z2 = float(np.exp(-2.0 * beta * shifted).sum())
+    scale = float(np.exp(-beta * lam[0])) / lam.size
+    return SpectralSums(z1, z2, scale * z1, float(scale * (w @ np.maximum(lam, 0.0))))
 
 
 def _check_dim(spec: Spectrum, m: int) -> None:
@@ -106,7 +103,7 @@ def hs_distance(spec: Spectrum, beta: float, m: int) -> float:
 
 def cooling_rate(spec: Spectrum, tau: float) -> float:
     """|d/dtau| of the normalized partition function, (1/m) sum lam exp(-tau lam)."""
-    return float(spectral_sums(spec, tau).rate[0])
+    return spectral_sums(spec, tau).rate
 
 
 def floor_of_inverse(purity_value: float, guard: float) -> int:
@@ -183,29 +180,17 @@ def betti_thermal(
     partition function signals an empty kernel, the floor is overridden to
     0 and the raw inverse purity retained.
     """
-    return _estimates(spec, np.array([beta], dtype=float), guard, criterion)[0]
-
-
-def _estimates(
-    spec: Spectrum, betas: np.ndarray, guard: float, criterion: float
-) -> list[ThermalEstimate]:
-    """One ThermalEstimate per entry of a 1-D beta array, from one kernel call."""
-    sums = spectral_sums(spec, betas)
+    z1, z2, z_norm, rate = spectral_sums(spec, beta)
     m = spec.dim
-    estimates = []
-    for beta, z1, z2, z_norm, rate in zip(betas.tolist(), *(v.tolist() for v in sums)):
-        pur = z2 / (z1 * z1)
-        inv = 1.0 / pur
-        trivial = detect_trivial_kernel(z_norm, m)
-        estimates.append(
-            ThermalEstimate(
-                beta=beta, purity=pur, inverse_purity=inv,
-                betti_floor=0 if trivial else floor_of_inverse(pur, guard),
-                renyi2_nats=renyi2(pur), fidelity=inv / m, hs_distance=pur - 1.0 / m,
-                z_norm=z_norm, converged=rate <= criterion, trivial_kernel=trivial,
-            )
-        )
-    return estimates
+    pur = z2 / (z1 * z1)
+    inv = 1.0 / pur
+    trivial = detect_trivial_kernel(z_norm, m)
+    return ThermalEstimate(
+        beta=float(beta), purity=pur, inverse_purity=inv,
+        betti_floor=0 if trivial else floor_of_inverse(pur, guard),
+        renyi2_nats=renyi2(pur), fidelity=inv / m, hs_distance=pur - 1.0 / m,
+        z_norm=z_norm, converged=rate <= criterion, trivial_kernel=trivial,
+    )
 
 
 @dataclass(frozen=True)
@@ -219,7 +204,8 @@ class SweepResult:
 def sweep(
     spec: Spectrum, beta_grid, criterion: float = DEFAULT_CRITERION
 ) -> SweepResult:
-    """Evaluate the estimator along a strictly increasing beta grid."""
+    """Evaluate the estimator along a strictly increasing beta grid, one
+    kernel call per grid point."""
     grid = np.asarray(beta_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("beta grid must be nonempty")
@@ -229,7 +215,7 @@ def sweep(
         threshold = beta_threshold(spec, spec.dim, criterion)
     except ZeroSpectrumError:
         threshold = None
-    estimates = _estimates(spec, grid, DEFAULT_FLOOR_GUARD, criterion)
+    estimates = [betti_thermal(spec, b, criterion=criterion) for b in grid.tolist()]
     return SweepResult(estimates=estimates, beta_threshold=threshold)
 
 

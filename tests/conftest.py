@@ -63,6 +63,18 @@ def sphere(n: int) -> SimplicialComplex:
     return from_simplices(n + 2, itertools.combinations(range(n + 2), n + 1))
 
 
+def wedge(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
+    """The wedge sum a v b: vertex 0 of b glued to vertex 0 of a, b's other
+    vertices numbered after a's.  Above dimension 0 the Betti numbers add."""
+
+    def vertex(v):
+        return v + a.n_vertices - 1 if v else 0
+
+    tops = [s for simplices in a.sets.values() for s in simplices]
+    tops += [tuple(map(vertex, s)) for simplices in b.sets.values() for s in simplices]
+    return from_simplices(a.n_vertices + b.n_vertices - 1, tops)
+
+
 # complexes whose Betti numbers topology fixes, independent of both exact
 # oracles, with their simplex counts by dimension
 TOPOLOGY = {
@@ -71,6 +83,9 @@ TOPOLOGY = {
     "klein-bottle": (klein_bottle(), (1, 1, 0), (25, 75, 50)),
     "S3": (sphere(3), (1, 0, 0, 1), (5, 10, 10, 5)),
     "S4": (sphere(4), (1, 0, 0, 0, 1), (6, 15, 20, 15, 6)),
+    "T2-v-S2": (wedge(torus(2), sphere(2)), (1, 2, 2), (12, 33, 22)),
+    "klein-bottle-v-S1": (wedge(klein_bottle(), sphere(1)), (1, 2, 0), (27, 78, 50)),
+    "S3-v-T2": (wedge(sphere(3), torus(2)), (1, 2, 1, 1), (13, 37, 28, 5)),
 }
 
 

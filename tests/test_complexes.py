@@ -182,6 +182,28 @@ class TestSimplicialComplex:
         with pytest.raises(ValueError):
             SimplicialComplex(2, {0: [(0,), (5,)]})
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: SimplicialComplex(3, {0: [(0.7,), (1.2,), (2.0,)], 1: [(0.9, 1.9)]}), "0.7 is not"),
+            (lambda: from_simplices(3, [(0.5, 1.5)]), "0.5 is not"),
+            (lambda: SimplicialComplex(2.9, {0: [(0,), (1,)]}), "2.9 is not"),
+            (lambda: from_simplices(2.0, [(0, 1)]), "2.0 is not"),
+            (lambda: SimplicialComplex(2, {0: [(False,), (True,)]}), "false is not"),
+            (lambda: SimplicialComplex(True, {0: [(0,)]}), "true is not"),
+            (lambda: from_simplices(2, [(np.float64(0.0), 1)]), "0.0 is not"),
+        ],
+    )
+    def test_non_integer_vertices_rejected_not_truncated(self, build, message):
+        with pytest.raises(ValueError, match=message + " an integer"):
+            build()
+
+    def test_numpy_integers_accepted(self):
+        cx = SimplicialComplex(np.int64(3), {0: [(np.int32(v),) for v in range(3)], 1: [np.array([0, 2])]})
+        assert cx == from_simplices(np.int64(3), [np.array([0, 2])])
+        assert type(cx.n_vertices) is int and cx.simplices(1) == [(0, 2)]
+        assert type(cx.simplices(1)[0][0]) is int
+
     def test_negative_dimension_rejected(self):
         # the empty simplex has the length k + 1 = 0 of a (-1)-simplex
         with pytest.raises(ValueError, match="negative"):
