@@ -26,6 +26,13 @@ METRICS = ("euclidean", "manhattan", "chebyshev")
 # graph or a high max_dim long before memory runs out, and is over 100x the
 # 9,579 simplices of the 40-vertex complex of perfbench's betti-large workload.
 MAX_SIMPLICES = 1_000_000
+# Bound on n^2 * d for a cloud of n points in R^d: the pairwise distances
+# hold two n x n x d float64 temporaries, 134 MB each at the cap.  Peak RSS
+# of build-complex at the cap, run in-process on sparse clouds, was 421 MB at
+# d = 1 (4,096 points, where the n x n distances add most) and 336 MB at
+# d = 3 (2,364 points) on a 2-core VM.  The benchmark's clouds have at most
+# 14 points.
+MAX_DISTANCE_ENTRIES = 2**24
 
 
 class PointCloudError(ValueError):
@@ -266,6 +273,11 @@ def build_clique_complex(
         raise ValueError("epsilon must be >= 0")
     if not 0 <= max_dim <= cloud.n - 1:
         raise ValueError(f"max_dim must be in [0, {cloud.n - 1}]")
+    if cloud.n**2 * cloud.dim > MAX_DISTANCE_ENTRIES:
+        raise ValueError(
+            f"{cloud.n:,} points in R^{cloud.dim} exceed the distance cap: "
+            f"n^2 * d must be at most {MAX_DISTANCE_ENTRIES:,}"
+        )
     dist = _pairwise_distances(cloud.points, metric)
     adj = dist <= epsilon
     np.fill_diagonal(adj, False)

@@ -11,22 +11,13 @@ deterministic under a master seed.
 from __future__ import annotations
 
 import csv
+from contextlib import suppress
 from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
-from .complexes import SimplicialComplex, random_complex
-from .homology import (
-    EmptySimplexSetError,
-    Spectrum,
-    ZeroSpectrumError,
-    betti_exact_kernel,
-    boundary_spectrum,
-    hodge_spectrum,
-    laplacian_dim,
-    laplacian_spectrum,
-    spectral_gap,
-)
+from .complexes import random_complex
+from .homology import ZeroSpectrumError, betti_exact_kernel, laplacian_spectra, spectral_gap
 from .thermal import DEFAULT_CRITERION, beta_threshold
 
 
@@ -61,25 +52,6 @@ def _instance_seeds(master_seed: int, instance_id: int) -> tuple[int, int]:
     return int(graph_seed), int(prob_seed)
 
 
-def evaluate_instance(
-    cx: SimplicialComplex,
-    k: int,
-    criterion: float = DEFAULT_CRITERION,
-) -> tuple[float, int, float]:
-    """(spectral gap, Betti number, cooling threshold) for one complex and k.
-
-    Raises EmptySimplexSetError or ZeroSpectrumError when the instance must
-    be rejected.
-    """
-    return _evaluate(laplacian_spectrum(cx, k), criterion)
-
-
-def _evaluate(spec: Spectrum, criterion: float) -> tuple[float, int, float]:
-    gap = spectral_gap(spec)
-    threshold = beta_threshold(spec, spec.dim, criterion)
-    return gap, betti_exact_kernel(spec), threshold
-
-
 def scaling_experiment(
     n: int,
     ks,
@@ -93,8 +65,8 @@ def scaling_experiment(
     Each instance draws its edge probability uniformly from the range and
     its own seed deterministically from (master_seed, instance_id); one
     record is emitted per requested k with a nonempty simplex set and a
-    nonzero Laplacian.  Each boundary of an instance is solved once, for
-    both Laplacians it enters.
+    nonzero Laplacian.  An over-cap k raises before any Gram matrix of the
+    instance is built.
     """
     if instances < 1:
         raise ValueError("need at least one instance")
@@ -109,18 +81,11 @@ def scaling_experiment(
         seed, prob_seed = _instance_seeds(master_seed, instance_id)
         edge_prob = float(lo + (hi - lo) * np.random.default_rng(prob_seed).random())
         cx = random_complex(n, edge_prob, max_dim, seed)
-        boundaries: dict[int, Spectrum] = {}  # j -> boundary_spectrum(cx, j)
-        for k in ks:
+        present = [k for k in ks if cx.num_simplices(k)]
+        rejected["empty_simplex_set"] += len(ks) - len(present)
+        for k, spec in laplacian_spectra(cx, present).items():
             try:
-                m = laplacian_dim(cx, k)
-                for j in (k, k + 1):
-                    if j not in boundaries:
-                        boundaries[j] = boundary_spectrum(cx, j)
-                spec = hodge_spectrum(m, boundaries[k], boundaries[k + 1])
-                gap, betti, threshold = _evaluate(spec, criterion)
-            except EmptySimplexSetError:
-                rejected["empty_simplex_set"] += 1
-                continue
+                gap = spectral_gap(spec)
             except ZeroSpectrumError:
                 rejected["zero_laplacian"] += 1
                 continue
@@ -132,8 +97,8 @@ def scaling_experiment(
                     edge_prob=edge_prob,
                     num_simplices=cx.num_simplices(k),
                     delta_gap=gap,
-                    betti=betti,
-                    beta_threshold=threshold,
+                    betti=betti_exact_kernel(spec),
+                    beta_threshold=beta_threshold(spec, spec.dim, criterion),
                 )
             )
     return ScalingResult(records=records, rejected=rejected)
@@ -171,7 +136,23 @@ class InsufficientDataError(ValueError):
 MIN_FIT_POINTS = 10
 
 
-def _fit_line(log_x: np.ndarray, log_y: np.ndarray) -> FitLine:
+def _fit_line(records: list) -> FitLine:
+    """Least-squares line on (ln gap, ln threshold) of the records.
+
+    Raises InsufficientDataError for fewer than MIN_FIT_POINTS records or
+    for records that share one gap, which leave the slope undefined, and
+    ValueError for a gap or threshold that is not positive.
+    """
+    if len(records) < MIN_FIT_POINTS:
+        raise InsufficientDataError(
+            f"need at least {MIN_FIT_POINTS} records, got {len(records)}"
+        )
+    if any(r.delta_gap <= 0.0 or r.beta_threshold <= 0.0 for r in records):
+        raise ValueError("power-law fit needs positive gaps and thresholds")
+    log_x = np.log([r.delta_gap for r in records])
+    log_y = np.log([r.beta_threshold for r in records])
+    if np.all(log_x == log_x[0]):
+        raise InsufficientDataError(f"all {len(records)} records share one gap: no slope")
     slope, intercept = np.polyfit(log_x, log_y, 1)
     predicted = slope * log_x + intercept
     ss_res = float(((log_y - predicted) ** 2).sum())
@@ -183,29 +164,17 @@ def _fit_line(log_x: np.ndarray, log_y: np.ndarray) -> FitLine:
 def fit_power_law(records, group_by_k: bool = False) -> PowerLawFit:
     """Fit threshold = C * gap^slope by least squares in log-log coordinates.
 
-    Requires at least 10 records (per group when grouped) and strictly
-    positive gaps and thresholds.
+    The pooled fit needs at least 10 records with more than one gap, and
+    strictly positive gaps and thresholds; a k group that falls short of
+    the first two is left out of ``per_k``.
     """
     records = list(records)
-    if len(records) < MIN_FIT_POINTS:
-        raise InsufficientDataError(
-            f"need at least {MIN_FIT_POINTS} records, got {len(records)}"
-        )
-    gaps = np.array([r.delta_gap for r in records])
-    thresholds = np.array([r.beta_threshold for r in records])
-    if np.any(gaps <= 0.0) or np.any(thresholds <= 0.0):
-        raise ValueError("power-law fit needs positive gaps and thresholds")
-    pooled = _fit_line(np.log(gaps), np.log(thresholds))
+    pooled = _fit_line(records)
     per_k: dict[int, FitLine] = {}
     if group_by_k:
         for k in sorted(set(r.k for r in records)):
-            group = [r for r in records if r.k == k]
-            if len(group) < MIN_FIT_POINTS:
-                continue
-            per_k[k] = _fit_line(
-                np.log(np.array([r.delta_gap for r in group])),
-                np.log(np.array([r.beta_threshold for r in group])),
-            )
+            with suppress(InsufficientDataError):
+                per_k[k] = _fit_line([r for r in records if r.k == k])
     return PowerLawFit(**asdict(pooled), per_k=per_k)
 
 

@@ -223,11 +223,22 @@ def hodge_spectrum(m: int, down: Spectrum, up: Spectrum) -> Spectrum:
     return Spectrum(eigenvalues=evals, tol_kernel=tol)
 
 
+def laplacian_spectra(cx: SimplicialComplex, ks) -> dict[int, Spectrum]:
+    """Ascending spectrum of the k-Laplacian for each k in ks, in order,
+    through the Hodge split; no Laplacian is assembled.
+
+    The size checks of ``laplacian_dim`` run on every k before any Gram
+    matrix is built, and each boundary is solved once, for both Laplacians
+    it enters.
+    """
+    dims = {k: laplacian_dim(cx, k) for k in ks}
+    bounds = {j: boundary_spectrum(cx, j) for j in {j for k in dims for j in (k, k + 1)}}
+    return {k: hodge_spectrum(m, bounds[k], bounds[k + 1]) for k, m in dims.items()}
+
+
 def laplacian_spectrum(cx: SimplicialComplex, k: int) -> Spectrum:
-    """Ascending spectrum of the k-Laplacian through the Hodge split, with
-    the size checks of ``laplacian_dim`` first; no Laplacian is assembled."""
-    m = laplacian_dim(cx, k)
-    return hodge_spectrum(m, boundary_spectrum(cx, k), boundary_spectrum(cx, k + 1))
+    """Ascending spectrum of the k-Laplacian; see ``laplacian_spectra``."""
+    return laplacian_spectra(cx, (k,))[k]
 
 
 def betti_exact_kernel(spec: Spectrum) -> int:

@@ -95,6 +95,27 @@ class TestBuildComplex:
         assert result.exit_code == 2
         assert "row 2" in result.output
 
+    def test_distance_cap_rejects_before_the_distances(self, runner, tmp_path, monkeypatch):
+        """n^2 * d = 18 for three points in the plane: accepted at a cap of
+        18, and at 17 refused with exit 2 before any distance is computed."""
+        points = tmp_path / "points.csv"
+        points.write_text("0,0\n1,0\n2,0\n")
+        out = tmp_path / "cx.json"
+        args = ("build-complex", "--points", points, "--epsilon", 1.1, "--out", out)
+        monkeypatch.setattr("thermaltda.complexes.MAX_DISTANCE_ENTRIES", 18)
+        assert invoke(runner, *args).exit_code == 0
+        out.unlink()
+
+        def unbuilt(*args):
+            raise AssertionError("distances computed past the cap")
+
+        monkeypatch.setattr("thermaltda.complexes.MAX_DISTANCE_ENTRIES", 17)
+        monkeypatch.setattr("thermaltda.complexes._pairwise_distances", unbuilt)
+        result = invoke(runner, *args)
+        assert result.exit_code == 2, result.output
+        assert "Error:" in result.output and "distance cap" in result.output
+        assert not out.exists()
+
 
 class TestRandomComplex:
     def test_deterministic_files(self, runner, tmp_path):
@@ -298,6 +319,17 @@ class TestScaling:
         assert result.exit_code == 0
         assert "fit withheld" in result.output
         assert out.exists()
+
+    def test_single_gap_withholds_fit(self, runner, tmp_path):
+        """Every record of a one-edge complex has gap 2: the slope is
+        undefined, so the fit is withheld rather than printed."""
+        out = tmp_path / "scaling.csv"
+        result = invoke(runner, "scaling", "--n", 2, "--k", 0, "--instances", 15, "--out", out)
+        assert result.exit_code == 0, result.output
+        assert "fit withheld" in result.stderr and "share one gap" in result.stderr
+        summary = json.loads(result.stdout)
+        assert summary["records"] == 10 and "fit" not in summary
+        assert {row.split(",")[5] for row in out.read_text().splitlines()[1:]} == {"2.0"}
 
     def test_repeated_seed_identical_files(self, runner, tmp_path):
         blobs = []

@@ -1,7 +1,7 @@
 import csv
 import io
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -11,14 +11,13 @@ from thermaltda.experiments import (
     InsufficientDataError,
     ScalingRecord,
     SCALING_CSV_HEADER,
-    evaluate_instance,
     fit_power_law,
     scaling_experiment,
     spearman_gap_threshold,
     write_scaling_csv,
 )
-from thermaltda.thermal import cooling_rate
-from thermaltda.homology import combinatorial_laplacian, spectrum
+from thermaltda.thermal import beta_threshold, cooling_rate
+from thermaltda.homology import combinatorial_laplacian, laplacian_spectrum, spectral_gap, spectrum
 
 
 @pytest.fixture(scope="module")
@@ -47,10 +46,10 @@ class TestScalingExperiment:
         assert other.records != small_run.records
 
     def test_hand_planted_hollow_triangle(self):
-        gap, betti, threshold = evaluate_instance(CORPUS["hollow-triangle"](), 1)
-        assert gap == pytest.approx(3.0, abs=1e-12)
-        assert betti == 1
-        assert threshold == pytest.approx(math.log(2000.0) / 3.0, rel=2e-6)
+        spec = laplacian_spectrum(CORPUS["hollow-triangle"](), 1)
+        assert spectral_gap(spec) == pytest.approx(3.0, abs=1e-12)
+        assert spec.kernel_dim == 1
+        assert beta_threshold(spec, spec.dim, 1e-3) == pytest.approx(math.log(2000.0) / 3.0, rel=2e-6)
 
     def test_each_boundary_solved_once_per_instance(self, monkeypatch):
         """One Gram eigensolve per nonempty boundary of an instance, shared by
@@ -80,7 +79,10 @@ class TestScalingExperiment:
         )
         assert len(solved) == boundaries < per_k
         for r in result.records:
-            assert evaluate_instance(drawn[r.instance_id], r.k, 1e-3) == (r.delta_gap, r.betti, r.beta_threshold)
+            spec = laplacian_spectrum(drawn[r.instance_id], r.k)
+            assert (spectral_gap(spec), spec.kernel_dim, beta_threshold(spec, spec.dim, 1e-3)) == (
+                r.delta_gap, r.betti, r.beta_threshold
+            )
 
     def test_rejection_rules_counted(self):
         # p = 0: the 0-Laplacian is identically zero and higher sets are empty
@@ -111,6 +113,20 @@ class TestScalingExperiment:
             assert rec.delta_gap > 0.0
             assert rec.beta_threshold >= 0.0
             assert rec.num_simplices >= 1
+
+    def test_over_cap_k_raises_before_any_gram(self, monkeypatch):
+        """On the complete graph on 8 vertices m_1 = 28 and m_2 = 56: with
+        the cap between them, k = 2 fails its size check before the Grams of
+        k = 1, which comes first, are built."""
+
+        def unbuilt(*args):
+            raise AssertionError("Gram matrix built before the size checks")
+
+        monkeypatch.setattr("thermaltda.homology.MAX_LAPLACIAN_DIM", 40)
+        monkeypatch.setattr("thermaltda.homology.face_gram", unbuilt)
+        monkeypatch.setattr("thermaltda.homology.simplex_gram", unbuilt)
+        with pytest.raises(ValueError, match="56 2-simplices exceed the Laplacian cap of 40"):
+            scaling_experiment(8, [1, 2], 1, 1e-3, (1.0, 1.0), master_seed=0)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -146,6 +162,21 @@ class TestFitPowerLaw:
         gaps = np.array([1.0, 2.0])
         with pytest.raises(InsufficientDataError):
             fit_power_law(synthetic_records(gaps, gaps))
+
+    def test_single_gap_pooled_fit_withheld(self):
+        """Records that share one gap leave the slope undefined: no fit, and
+        no RankWarning from the solver (warnings are errors here)."""
+        with pytest.raises(InsufficientDataError, match="share one gap"):
+            fit_power_law(synthetic_records(np.full(12, 2.0), np.linspace(1.0, 2.0, 12)))
+
+    def test_single_gap_group_left_out_of_per_k(self):
+        gaps = np.logspace(-2, 1, 12)
+        spread = synthetic_records(gaps, gaps**-0.7)
+        flat = [replace(r, k=2) for r in synthetic_records(np.full(12, 2.0), np.linspace(1.0, 2.0, 12))]
+        fit = fit_power_law(spread + flat, group_by_k=True)
+        assert set(fit.per_k) == {1}
+        assert fit.per_k[1].slope == pytest.approx(-0.7, abs=1e-12)
+        assert fit.n_points == 24
 
     def test_nonpositive_values_rejected(self):
         gaps = np.linspace(0.0, 1.0, 12)

@@ -15,6 +15,7 @@ from thermaltda.homology import (
     combinatorial_laplacian,
     face_gram,
     hodge_spectrum,
+    laplacian_spectra,
     laplacian_spectrum,
     simplex_gram,
     spectral_gap,
@@ -220,6 +221,27 @@ class TestHodgeSplit:
         spec = laplacian_spectrum(from_simplices(3, []), 0)
         np.testing.assert_array_equal(spec.eigenvalues, np.zeros(3))
         assert spec.tol_kernel == 1e-8 and spec.kernel_dim == 3
+
+    def test_spectra_are_the_single_k_spectra(self):
+        """Every k from one call, bit for bit as asked one k at a time, in
+        the order asked, each boundary solved once."""
+        for cx in random_complex_family(25):
+            ks = list(range(cx.max_dim, -1, -1))
+            spectra = laplacian_spectra(cx, ks)
+            assert list(spectra) == ks
+            for k in ks:
+                single = laplacian_spectrum(cx, k)
+                np.testing.assert_array_equal(spectra[k].eigenvalues, single.eigenvalues)
+                assert spectra[k].tol_kernel == single.tol_kernel
+
+    def test_spectra_solve_each_boundary_once(self, monkeypatch):
+        import thermaltda.homology as homology
+
+        solved = []
+        solve = homology.boundary_spectrum
+        monkeypatch.setattr(homology, "boundary_spectrum", lambda cx, j: solved.append(j) or solve(cx, j))
+        laplacian_spectra(random_complex(8, 0.7, 3, 5), [3, 1, 2, 1])
+        assert sorted(solved) == [1, 2, 3, 4]
 
     def test_checks_run_before_anything_is_built(self, corpus, monkeypatch):
         with pytest.raises(EmptySimplexSetError):

@@ -5,11 +5,12 @@ agree on a wrong answer; these answers do not come from either oracle."""
 
 import pytest
 
-from conftest import TOPOLOGY
+from conftest import TOPOLOGY, torus
 from thermaltda.homology import (
     betti_exact_kernel,
     betti_exact_rank,
     combinatorial_laplacian,
+    laplacian_spectra,
     laplacian_spectrum,
     spectrum,
 )
@@ -25,12 +26,18 @@ def test_simplex_counts(name):
 
 @pytest.mark.parametrize("name", TOPOLOGY)
 def test_every_route_gives_the_known_betti_numbers(name):
-    """The assembled Laplacian's spectrum and the Hodge split that every
-    command reads each give the known kernel, thermal floor and swap floor."""
+    """The assembled Laplacian's spectrum, the Hodge split one k at a time
+    and every k from one Hodge split call each give the known kernel,
+    thermal floor and swap floor."""
     cx, betti, _ = TOPOLOGY[name]
     for k, b in enumerate(betti):
         assert betti_exact_rank(cx, k).betti == b, k
-    for route in (lambda k: spectrum(combinatorial_laplacian(cx, k)), lambda k: laplacian_spectrum(cx, k)):
+    every_k = laplacian_spectra(cx, range(cx.max_dim + 1))
+    for route in (
+        lambda k: spectrum(combinatorial_laplacian(cx, k)),
+        lambda k: laplacian_spectrum(cx, k),
+        every_k.__getitem__,
+    ):
         stable = 0
         for k, b in enumerate(betti):
             spec = route(k)
@@ -42,6 +49,19 @@ def test_every_route_gives_the_known_betti_numbers(name):
                 stable += 1
                 assert est.betti_floor == b, k
         assert stable >= len(betti) // 2  # the stable-floor check is not vacuous
+
+
+def test_four_torus_outer_dimensions():
+    """T^4 has b_k = C(4, k) = (1, 4, 6, 4, 1).  k = 0, 1 and 4 are checked
+    through the kernel count, the GF(p) rank and the thermal floor; k = 2
+    and 3 would each need a 4050 x 4050 Gram eigensolve."""
+    cx = torus(4)
+    assert tuple(cx.num_simplices(k) for k in range(5)) == (81, 1215, 4050, 4860, 1944)
+    for k, spec in laplacian_spectra(cx, (0, 1, 4)).items():
+        b = (1, 4, 6, 4, 1)[k]
+        assert betti_exact_kernel(spec) == b, k
+        assert betti_exact_rank(cx, k).betti == b, k
+        assert betti_thermal(spec, 4.0 * beta_threshold(spec, spec.dim)).betti_floor == b, k
 
 
 def test_klein_bottle_torsion_shows_over_gf2(monkeypatch):
