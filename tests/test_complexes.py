@@ -131,6 +131,23 @@ class TestRandomComplex:
         with pytest.raises(ValueError):
             random_complex(5, 1.5, 2, seed=0)
 
+    @pytest.mark.parametrize("chunk", [7, 2**22])
+    def test_cliques_match_combinations(self, monkeypatch, chunk):
+        """Mask expansion lists every clique of a seeded graph, in order; at a
+        7-entry chunk every dimension spans many chunks."""
+        monkeypatch.setattr("thermaltda.complexes.MAX_MASK_ENTRIES", chunk)
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            n, p = int(rng.integers(1, 13)), float(rng.uniform(0.2, 1.0))
+            cx = random_complex(n, p, 4, seed=int(rng.integers(2**32)))
+            edges = set(cx.simplices(1))
+            assert cx.max_dim <= 4
+            for k in range(5):
+                assert cx.simplices(k) == [
+                    s for s in itertools.combinations(range(n), k + 1)
+                    if all(e in edges for e in itertools.combinations(s, 2))
+                ]
+
     def test_simplex_budget(self, monkeypatch):
         # the complete graph on 4 vertices has 4 + 6 + 4 + 1 = 15 simplices
         monkeypatch.setattr("thermaltda.complexes.MAX_SIMPLICES", 15)

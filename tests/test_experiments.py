@@ -41,6 +41,12 @@ class TestScalingExperiment:
         assert again.records == small_run.records
         assert again.rejected == small_run.rejected
 
+    def test_ten_newton_steps_suffice(self, small_run, monkeypatch):
+        """Every threshold of the run converges within 10 Newton steps."""
+        monkeypatch.setattr("thermaltda.thermal.MAX_NEWTON_STEPS", 10)
+        again = scaling_experiment(10, [1, 2, 3], 40, 1e-3, (0.3, 0.9), master_seed=42)
+        assert again.records == small_run.records
+
     def test_different_seed_differs(self, small_run):
         other = scaling_experiment(10, [1, 2, 3], 40, 1e-3, (0.3, 0.9), master_seed=43)
         assert other.records != small_run.records
@@ -168,6 +174,16 @@ class TestFitPowerLaw:
         no RankWarning from the solver (warnings are errors here)."""
         with pytest.raises(InsufficientDataError, match="share one gap"):
             fit_power_law(synthetic_records(np.full(12, 2.0), np.linspace(1.0, 2.0, 12)))
+
+    @pytest.mark.parametrize("n, threshold", [
+        (12, 3.4538776394910684), (37, 0.7), (37, 3.4538776394910684),
+    ])
+    def test_single_threshold_fit_withheld(self, n, threshold):
+        """Records that share one threshold have slope 0 and no r^2: no fit,
+        rather than a ZeroDivisionError or an r^2 read off rounding."""
+        records = synthetic_records(np.linspace(0.3, 7, n), np.full(n, threshold))
+        with pytest.raises(InsufficientDataError, match="share one threshold"):
+            fit_power_law(records)
 
     def test_single_gap_group_left_out_of_per_k(self):
         gaps = np.logspace(-2, 1, 12)

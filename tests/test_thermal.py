@@ -20,6 +20,7 @@ from thermaltda.homology import (
     spectrum,
 )
 from thermaltda.thermal import (
+    DEFAULT_CRITERION,
     SWEEP_CSV_HEADER,
     ThermalEstimate,
     beta_threshold,
@@ -124,9 +125,20 @@ def test_inverse_purity_in_range_and_non_increasing(spec, betas):
 @settings(derandomize=True, database=None, deadline=None)
 @given(spec=psd_spectra, betas=beta_pairs)
 def test_cooling_rate_non_increasing(spec, betas):
-    """The premise of beta_threshold's bisection (relative slack 1e-12)."""
+    """The rate falls with beta, so its threshold is one crossing (relative slack 1e-12)."""
     rate = [spectral_sums(spec, b).rate for b in betas]
     assert rate[1] <= rate[0] * (1.0 + 1e-12)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(spec=psd_spectra)
+def test_threshold_is_the_crossing(spec):
+    """The certified threshold meets the criterion, and 1e-8 below it the rate
+    is still above: the solve's 1e-9 slack is its only tolerance."""
+    tau = beta_threshold(spec, spec.dim)
+    assert cooling_rate(spec, tau) <= DEFAULT_CRITERION
+    if tau > 0.0:
+        assert cooling_rate(spec, tau * (1.0 - 1e-8)) > DEFAULT_CRITERION
 
 
 class TestPartitionTerms:
@@ -296,6 +308,43 @@ class TestBetaThreshold:
     def test_flat_closed_form(self):
         expected = math.log(3000.0) / 3.0
         assert beta_threshold(FLAT3, 3) == pytest.approx(expected, rel=2e-6)
+
+    @pytest.mark.parametrize("spec, root", [
+        (HOLLOW, math.log(2000.0) / 3.0), (FLAT3, math.log(3000.0) / 3.0),
+    ])
+    def test_newton_root_to_rounding(self, spec, root):
+        """The answer is the closed-form root scaled by the 1 + 1e-9 slack."""
+        assert beta_threshold(spec, 3) == pytest.approx(root * (1.0 + 1e-9), rel=1e-12)
+
+    def test_root_above_max_beta_raises(self):
+        # rate (1/2) 1e-11 exp(-1e-11 tau) meets 1e-24 at tau = ln(5e12)/1e-11, about 2.9e12
+        spec = Spectrum(eigenvalues=np.array([0.0, 1e-11]), tol_kernel=1e-12)
+        with pytest.raises(ArithmeticError, match="exceeds 1e\\+12"):
+            beta_threshold(spec, 2, criterion=1e-24)
+
+    def test_newton_step_cap_raises(self, monkeypatch):
+        # one level: the first step lands on the root, and only a second
+        # evaluation can see that it converged
+        monkeypatch.setattr("thermaltda.thermal.MAX_NEWTON_STEPS", 1)
+        with pytest.raises(ArithmeticError, match="not converged in 1 Newton steps"):
+            beta_threshold(HOLLOW, 3)
+
+    def test_root_within_rounding_of_zero(self, monkeypatch):
+        """A criterion a hair under the rate at 0 still ends in a certified
+        threshold near 0, in a bounded number of rate calls, not a walk of
+        single ulps (about 1e12 of them for the first criterion)."""
+        calls = []
+
+        def counted(spec, tau):
+            calls.append(tau)
+            assert len(calls) <= 2000, "certificate walk did not end"
+            return cooling_rate(spec, tau)
+
+        monkeypatch.setattr("thermaltda.thermal.cooling_rate", counted)
+        for criterion in (2.0 * (1.0 - 1e-12), 2.0 * (1.0 - 1e-16)):
+            tau = beta_threshold(HOLLOW, 3, criterion=criterion)
+            assert 0.0 < tau < 1e-12
+            assert cooling_rate(HOLLOW, tau) <= criterion
 
     def test_already_satisfied_gives_zero(self):
         assert beta_threshold(HOLLOW, 3, criterion=10.0) == 0.0
