@@ -159,7 +159,8 @@ def cmd_build_complex(points_path, metric, epsilon, max_dim, out_path):
 
 
 @main.command("random-complex")
-# the edge draw is an n x n float64 array: 134 MB at the cap
+# the adjacency is an n x n bool array, 16 MB at the cap; edges are drawn in
+# blocks of at most 32 MB
 @click.option("--n", type=click.IntRange(min=1, max=4_096), required=True, help="vertex count")
 @click.option("--edge-prob", type=float, required=True)
 @click.option("--max-dim", type=int, default=3, show_default=True)
@@ -243,7 +244,7 @@ def cmd_sweep(input_path, corpus_name, k, beta_min, beta_max, beta_steps, criter
 
 
 @main.command("scaling")
-# each instance draws an n x n float64 edge array: 134 MB at the cap
+# each instance holds an n x n bool adjacency, 16 MB at the cap
 @click.option("--n", type=click.IntRange(min=2, max=4_096), default=10, show_default=True)
 @click.option("--k", "ks", type=click.IntRange(min=0), multiple=True, default=(1, 2, 3, 4), show_default=True)
 @click.option("--instances", type=int, default=300, show_default=True)

@@ -1,7 +1,7 @@
 """Simplicial complexes from point clouds and random graphs.
 
-A complex is stored as the family of sets S_k of its k-simplices, each
-simplex a strictly increasing tuple of vertex indices.  Construction is
+A complex stores its k-simplices as the rows of one sorted int32 array per
+dimension, each row strictly increasing vertex indices.  Construction is
 either geometric (clique complex of the epsilon-neighborhood graph of a
 point cloud) or random (clique complex of an Erdos-Renyi graph).  All
 constructors are deterministic given their inputs and return immutable,
@@ -21,12 +21,13 @@ Simplex = tuple[int, ...]
 METRICS = ("euclidean", "manhattan", "chebyshev")
 
 # Enumeration budget, total over all dimensions.  random_complex(34, 0.95, 5, 0)
-# has 890,707 simplices and took 7.4-8.3 s at 297 MB peak: 0.5-0.6 s for the
-# clique masks, the rest for validation and the face table.  (24, 0.95, 5, 0)
-# has 85,014 and took 0.45-0.7 s at 59 MB (2-core VM, in process, two runs
-# each).  The budget stops a dense graph or a high max_dim long before memory
-# runs out, and is over 100x the 9,579 simplices of the 40-vertex complex of
-# perfbench's betti-large workload.
+# has 890,707 simplices and took 1.7-2.0 s at 303 MB peak RSS, most of it in
+# the face table's searchsorted; (24, 0.95, 5, 0) has 85,014 and took 0.17 s
+# at 57 MB.  random_complex(4096, 0.1, 2, 0) meets the budget and raises after
+# 0.6-0.7 s at 89 MB (2-core VM, in process, two runs each).  The budget stops
+# a dense graph or a high max_dim long before memory runs out, and is over
+# 100x the 9,579 simplices of the 40-vertex complex of perfbench's
+# betti-large workload.
 MAX_SIMPLICES = 1_000_000
 # Entries of one clique-expansion mask, a 4 MB bool array: cliques are
 # extended in row chunks of at most this size.  Unchunked, the 838,766 edges
@@ -97,62 +98,65 @@ def load_point_cloud(path) -> PointCloud:
     return PointCloud(np.array(rows, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplicialComplex:
     """Downward-closed family of simplices over vertices 0..n_vertices-1.
 
-    ``sets[k]`` is the lexicographically sorted, duplicate-free list of
-    k-simplices.  Instances are immutable; validation runs on creation.
+    ``sets[k]`` is a C-contiguous, read-only (m_k, k+1) int32 array of the
+    k-simplices: each row strictly increasing, the rows sorted and distinct.
+    The constructor takes integer rows in any order; equality is of simplices.
     """
 
     n_vertices: int
-    sets: dict[int, list[Simplex]] = field(default_factory=dict)
+    sets: dict[int, np.ndarray] = field(default_factory=dict)
     # faces[k][j, c] is the row in sets[k-1] of the c-th face of simplex j in
     # itertools.combinations order, which deletes vertex k - c: its boundary
     # sign is (-1)^(k-c).  Built once, by the closure check, for k >= 1.
-    faces: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
+    faces: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         _check_ints([self.n_vertices])
-        if self.n_vertices < 1:
+        n = int(self.n_vertices)
+        if n < 1:
             raise ValueError("complex needs at least one vertex")
-        object.__setattr__(self, "n_vertices", int(self.n_vertices))
-        cleaned: dict[int, list[Simplex]] = {}
+        if n > 2**31 - 1:  # vertex ids are int32
+            raise ValueError(f"{n:,} vertices exceed 2**31 - 1")
+        object.__setattr__(self, "n_vertices", n)
+        sets, keys = {}, {}
         for k, simplices in self.sets.items():
             if k < 0:
                 raise ValueError(f"simplex dimension {k} is negative")
-            simplices = list(simplices)
-            _check_ints(list(itertools.chain.from_iterable(simplices)))
-            uniq = sorted(set(tuple(map(int, s)) for s in simplices))
-            if not uniq:
-                continue
-            for s in uniq:
-                if len(s) != k + 1:
-                    raise ValueError(f"{s} is not a {k}-simplex")
-                if any(a >= b for a, b in zip(s, s[1:])):
-                    raise ValueError(f"simplex {s} is not strictly increasing")
-                if s[0] < 0 or s[-1] >= self.n_vertices:
-                    raise ValueError(f"simplex {s} has vertices outside [0, {self.n_vertices})")
-            cleaned[k] = uniq
-        object.__setattr__(self, "sets", cleaned)
+            sets[k] = _checked_rows(simplices, k, n)
+            keys[k] = _row_keys(sets[k])
+            if not (keys[k][1:] > keys[k][:-1]).all():  # unsorted or repeated rows
+                keys[k], first = np.unique(keys[k], return_index=True)
+                sets[k] = sets[k][first]
+            sets[k].flags.writeable = False
+        object.__setattr__(self, "sets", {k: sets[k] for k in sorted(sets) if len(sets[k])})
         # downward closure: every face of a k-simplex is on a row of sets[k-1]
-        for k in sorted(cleaned.keys() - {0}):
-            row = {s: i for i, s in enumerate(cleaned.get(k - 1, ()))}
-            try:
-                flat = [row[face] for s in cleaned[k] for face in itertools.combinations(s, k)]
-            except KeyError as exc:
-                s = next(s for s in cleaned[k] if set(exc.args[0]) < set(s))
-                raise ValueError(f"face {exc.args[0]} of {s} missing: complex not closed") from None
-            self.faces[k] = np.array(flat, dtype=np.int32).reshape(-1, k + 1)
+        for k in sorted(self.sets.keys() - {0}):
+            rows = keys[k].view(">i4").reshape(-1, k + 1)
+            faces = _row_keys(rows[:, list(itertools.combinations(range(k + 1), k))].reshape(-1, k))
+            below = keys[k - 1] if k - 1 in self.sets else faces[:0]
+            at = np.searchsorted(below, faces)
+            found = below.take(at, mode="clip") == faces if len(below) else at < 0
+            if not found.all():
+                j, c = divmod(int(np.argmin(found)), k + 1)
+                s = tuple(self.sets[k][j].tolist())
+                raise ValueError(f"face {s[:k - c] + s[k - c + 1:]} of {s} missing: complex not closed")
+            self.faces[k] = at.astype(np.int32).reshape(-1, k + 1)
             self.faces[k].flags.writeable = False  # both Betti oracles read it
+
+    def __eq__(self, other):
+        return isinstance(other, SimplicialComplex) and self.to_json_dict() == other.to_json_dict()
 
     @property
     def max_dim(self) -> int:
         return max(self.sets) if self.sets else -1
 
     def simplices(self, k: int) -> list[Simplex]:
-        """Sorted list of k-simplices; empty outside the populated range."""
-        return list(self.sets.get(k, []))
+        """The rows of ``sets[k]`` as tuples; empty outside the populated range."""
+        return list(map(tuple, self.sets[k].tolist())) if k in self.sets else []
 
     def face_table(self, k: int) -> np.ndarray:
         """``faces[k]`` for k >= 1; an empty (0, k+1) array above the top dimension."""
@@ -162,12 +166,7 @@ class SimplicialComplex:
         return len(self.sets.get(k, ()))
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_vertices": self.n_vertices,
-            "simplices": {
-                str(k): [list(s) for s in self.sets[k]] for k in sorted(self.sets)
-            },
-        }
+        return {"n_vertices": self.n_vertices, "simplices": {str(k): v.tolist() for k, v in self.sets.items()}}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimplicialComplex":
@@ -202,6 +201,31 @@ def _check_ints(values: list) -> None:
             raise ValueError(f"{json.dumps(bad, default=repr)} is not an integer")
 
 
+def _checked_rows(simplices, k: int, n: int) -> np.ndarray:
+    """The k-simplices as a new (m, k+1) int32 array, rows in the given order.
+    Anything but an integer array is checked for non-integers as a list first."""
+    array = isinstance(simplices, np.ndarray) and simplices.dtype.kind in "iu"
+    if not array:
+        simplices = simplices.tolist() if isinstance(simplices, np.ndarray) else list(simplices)
+        _check_ints(list(itertools.chain.from_iterable(simplices)))
+    if set(map(len, simplices[:1] if array else simplices)) - {k + 1}:  # an array's rows share a length
+        s = min(tuple(map(int, s)) for s in simplices if len(s) != k + 1)
+        raise ValueError(f"{s} is not a {k}-simplex")
+    rows = np.asarray(simplices).reshape(len(simplices), k + 1)
+    bad = (rows[:, 1:] <= rows[:, :-1]).any(axis=1) | (rows[:, 0] < 0) | (rows[:, -1] >= n)
+    if bad.any():  # name the lexicographically first faulty simplex
+        s = min(map(tuple, rows[bad].tolist()))
+        if any(a >= b for a, b in zip(s, s[1:])):
+            raise ValueError(f"simplex {s} is not strictly increasing")
+        raise ValueError(f"simplex {s} has vertices outside [0, {n})")
+    return rows.astype(np.int32)
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Big-endian bytes keys: their order is the lexicographic order of the rows."""
+    return np.ascontiguousarray(rows, dtype=">i4").view(f"S{4 * rows.shape[1]}").ravel()
+
+
 def _unique_keys(pairs: list) -> dict:
     """JSON object hook that rejects a repeated key instead of keeping the last."""
     obj = {}
@@ -214,14 +238,13 @@ def _unique_keys(pairs: list) -> dict:
 
 def from_simplices(n_vertices: int, top_simplices) -> SimplicialComplex:
     """Build the complex generated by ``top_simplices`` (all faces added)."""
-    top_simplices = list(top_simplices)
-    _check_ints([n_vertices, *itertools.chain.from_iterable(top_simplices)])
-    sets: dict[int, set[Simplex]] = {0: {(v,) for v in range(n_vertices)}}
+    _check_ints([n_vertices])  # the constructor checks the vertices
+    sets: dict[int, list[Simplex]] = {0: [(v,) for v in range(n_vertices)]}
     for s in top_simplices:
-        s = tuple(sorted(map(int, s)))
+        s = sorted(s)
         for size in range(1, len(s) + 1):
-            sets.setdefault(size - 1, set()).update(itertools.combinations(s, size))
-    return SimplicialComplex(n_vertices, {k: sorted(v) for k, v in sets.items()})
+            sets.setdefault(size - 1, []).extend(itertools.combinations(s, size))
+    return SimplicialComplex(n_vertices, sets)
 
 
 def _pairwise_distances(points: np.ndarray, metric: str) -> np.ndarray:
@@ -235,7 +258,7 @@ def _pairwise_distances(points: np.ndarray, metric: str) -> np.ndarray:
     raise ValueError(f"unknown metric {metric!r}; choose one of {METRICS}")
 
 
-def _cliques_from_adjacency(adj: np.ndarray, max_dim: int) -> dict[int, list[Simplex]]:
+def _cliques_from_adjacency(adj: np.ndarray, max_dim: int) -> dict[int, np.ndarray]:
     """Enumerate cliques of size <= max_dim+1, sorted, by boolean masks.
 
     The k-cliques Q (rows sorted lexicographically) extend by the vertices
@@ -248,8 +271,8 @@ def _cliques_from_adjacency(adj: np.ndarray, max_dim: int) -> dict[int, list[Sim
     """
     n = adj.shape[0]
     above = np.triu(adj, 1)
-    sets: dict[int, list[Simplex]] = {0: [(v,) for v in range(n)]}
-    cliques = np.arange(n).reshape(n, 1)
+    cliques = np.arange(n, dtype=np.int32).reshape(n, 1)
+    sets = {0: cliques}
     rows = max(1, MAX_MASK_ENTRIES // n)
     room = MAX_SIMPLICES - n
     for k in range(1, max_dim + 1):
@@ -266,11 +289,11 @@ def _cliques_from_adjacency(adj: np.ndarray, max_dim: int) -> dict[int, list[Sim
                     f"clique complex exceeds {MAX_SIMPLICES:,} simplices; "
                     "lower max_dim or the edge density"
                 )
-            chunks.append(np.column_stack((q[i], v)))
+            chunks.append(np.column_stack((q[i], v.astype(np.int32))))
         cliques = np.concatenate(chunks)
         if not len(cliques):
             break
-        sets[k] = list(zip(*cliques.T.tolist()))
+        sets[k] = cliques
     return sets
 
 
@@ -302,7 +325,8 @@ def random_complex(n: int, edge_prob: float, max_dim: int, seed: int) -> Simplic
     """Clique complex of an Erdos-Renyi graph G(n, edge_prob).
 
     Deterministic for fixed (n, edge_prob, max_dim, seed): edges are decided
-    from a PCG64 stream in row-major order over the strict upper triangle.
+    from a PCG64 stream in row-major order over the strict upper triangle,
+    drawn in blocks of rows of at most MAX_MASK_ENTRIES entries.
     """
     if n < 1:
         raise ValueError("need n >= 1 vertices")
@@ -311,10 +335,10 @@ def random_complex(n: int, edge_prob: float, max_dim: int, seed: int) -> Simplic
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
     rng = np.random.default_rng(seed)
-    draws = rng.random((n, n))
     adj = np.zeros((n, n), dtype=bool)
-    upper = np.triu_indices(n, k=1)
-    adj[upper] = draws[upper] < edge_prob
+    rows = max(1, MAX_MASK_ENTRIES // n)
+    for start in range(0, n, rows):  # block row i keeps the columns above start + i
+        adj[start:start + rows] = np.triu(rng.random((min(rows, n - start), n)) < edge_prob, start + 1)
     adj |= adj.T
     return SimplicialComplex(n, _cliques_from_adjacency(adj, max_dim))
 
@@ -322,40 +346,17 @@ def random_complex(n: int, edge_prob: float, max_dim: int, seed: int) -> Simplic
 # ---------------------------------------------------------------------------
 # Bundled corpus: small shapes with hand-checkable Betti numbers.
 
-def hollow_triangle() -> SimplicialComplex:
-    """Three edges, no filling: b_0 = 1, b_1 = 1."""
-    return from_simplices(3, [(0, 1), (0, 2), (1, 2)])
-
-
-def filled_triangle() -> SimplicialComplex:
-    """The full 2-simplex: b_0 = 1, b_1 = b_2 = 0."""
-    return from_simplices(3, [(0, 1, 2)])
-
-
-def tetrahedron_boundary() -> SimplicialComplex:
-    """Four triangles of the tetrahedron without the 3-cell: b_2 = 1."""
-    return from_simplices(4, list(itertools.combinations(range(4), 3)))
-
-
-def two_components() -> SimplicialComplex:
-    """Two disjoint edges: b_0 = 2."""
-    return from_simplices(4, [(0, 1), (2, 3)])
-
-
-def octahedron_boundary() -> SimplicialComplex:
-    """Surface of the octahedron (antipodal pairs (0,5), (1,4), (2,3)): b_2 = 1."""
-    triangles = [
-        (a, b, c)
-        for a, b, c in itertools.combinations(range(6), 3)
-        if a + b != 5 and a + c != 5 and b + c != 5
-    ]
-    return from_simplices(6, triangles)
-
-
 CORPUS = {
-    "hollow-triangle": hollow_triangle,
-    "filled-triangle": filled_triangle,
-    "tetrahedron-boundary": tetrahedron_boundary,
-    "two-components": two_components,
-    "octahedron-boundary": octahedron_boundary,
+    # three edges, no filling: b_0 = 1, b_1 = 1
+    "hollow-triangle": lambda: from_simplices(3, [(0, 1), (0, 2), (1, 2)]),
+    # the full 2-simplex: b_0 = 1, b_1 = b_2 = 0
+    "filled-triangle": lambda: from_simplices(3, [(0, 1, 2)]),
+    # four triangles of the tetrahedron without the 3-cell: b_2 = 1
+    "tetrahedron-boundary": lambda: from_simplices(4, itertools.combinations(range(4), 3)),
+    # two disjoint edges: b_0 = 2
+    "two-components": lambda: from_simplices(4, [(0, 1), (2, 3)]),
+    # surface of the octahedron, antipodal pairs (0,5), (1,4), (2,3): b_2 = 1
+    "octahedron-boundary": lambda: from_simplices(6, [
+        s for s in itertools.combinations(range(6), 3) if all(a + b != 5 for a, b in itertools.combinations(s, 2))
+    ]),
 }

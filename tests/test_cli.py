@@ -480,6 +480,10 @@ class TestBadInput:
             # numbers beyond the float range, where the format has integers
             ("betti", "--input", ComplexFile('{"n_vertices": 1e400, "simplices": {"0": [[0]]}}'), "--k", 0),
             ("betti", "--input", ComplexFile('{"n_vertices": 2, "simplices": {"0": [[0], [1e400]]}}'), "--k", 0),
+            # vertex ids are int32: a count above 2^31 - 1, or beyond int64
+            ("betti", "--input", ComplexFile('{"n_vertices": 5000000000, "simplices": {"0": [[0]]}}'), "--k", 0),
+            ("betti", "--input", ComplexFile(f'{{"n_vertices": {2**70}, "simplices": {{"0": [[0]]}}}}'), "--k", 0),
+            ("betti", "--input", ComplexFile(f'{{"n_vertices": 2, "simplices": {{"0": [[0], [{2**70}]]}}}}'), "--k", 0),
             # the empty simplex has the length of a (-1)-simplex
             ("betti", "--input", ComplexFile('{"n_vertices": 2, "simplices": {"-1": [[]], "0": [[0], [1]]}}'),
              "--k", 0),
@@ -624,6 +628,26 @@ def test_complex_files_exit_0_or_2(data):
             json.dump(data, fh)
         result = invoke(runner, "betti", "--input", path, "--k", 0)
     assert result.exit_code in (0, 2), result.output
+
+
+def test_shuffled_repeated_rows_read_as_the_sorted_file(runner, tmp_path):
+    """A file whose rows come in any order, some twice, is the complex the
+    sorted file holds: the same Betti numbers, and saved back, the same bytes."""
+    canonical, shuffled, resaved = tmp_path / "cx.json", tmp_path / "shuffled.json", tmp_path / "resaved.json"
+    random_complex(12, 0.5, 3, seed=3).save(canonical)
+    data = json.loads(canonical.read_text())
+    rng = np.random.default_rng(0)
+    for key, rows in data["simplices"].items():
+        rows = rows + rows[:2]
+        data["simplices"][key] = [rows[i] for i in rng.permutation(len(rows))]
+    shuffled.write_text(json.dumps(data))
+    for k in range(3):
+        results = [invoke(runner, "betti", "--input", path, "--k", k) for path in (canonical, shuffled)]
+        assert [r.exit_code for r in results] == [0, 0], results[1].output
+        a, b = (json.loads(r.output) for r in results)
+        assert a.pop("meta")["options"]["input"] != b.pop("meta")["options"]["input"] and a == b
+    SimplicialComplex.load(shuffled).save(resaved)
+    assert resaved.read_bytes() == canonical.read_bytes()
 
 
 def _as_written(text: str) -> set:

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from thermaltda.complexes import (
     CORPUS,
@@ -111,12 +112,12 @@ class TestRandomComplex:
     def test_deterministic_per_seed(self):
         a = random_complex(10, 0.5, 3, seed=42)
         b = random_complex(10, 0.5, 3, seed=42)
-        assert a.sets == b.sets
+        assert a == b
 
     def test_seed_changes_output(self):
         a = random_complex(10, 0.5, 2, seed=1)
         b = random_complex(10, 0.5, 2, seed=2)
-        assert a.sets != b.sets
+        assert a != b
 
     def test_complete_graph_at_p_one(self):
         cx = random_complex(3, 1.0, 2, seed=0)
@@ -147,6 +148,19 @@ class TestRandomComplex:
                     s for s in itertools.combinations(range(n), k + 1)
                     if all(e in edges for e in itertools.combinations(s, 2))
                 ]
+
+    @pytest.mark.parametrize("chunk", [7, 64, 2**22])
+    def test_edges_match_one_shot_draw(self, monkeypatch, chunk):
+        """Drawn in blocks of rows, the edges follow the PCG64 stream of one
+        n x n draw read over its strict upper triangle; a 7-entry chunk draws
+        one row per block, a 64-entry chunk several rows and a short last block."""
+        monkeypatch.setattr("thermaltda.complexes.MAX_MASK_ENTRIES", chunk)
+        for n, p, seed in [(1, 0.5, 0), (2, 0.9, 1), (9, 0.5, 3), (40, 0.3, 7), (65, 0.1, 11), (30, 1.0, 2)]:
+            draws = np.random.default_rng(seed).random((n, n))
+            upper = np.triu_indices(n, k=1)
+            edges = np.transpose(upper)[draws[upper] < p]
+            cx = random_complex(n, p, 1, seed)
+            np.testing.assert_array_equal(cx.sets.get(1, np.empty((0, 2), dtype=np.int32)), edges)
 
     def test_simplex_budget(self, monkeypatch):
         # the complete graph on 4 vertices has 4 + 6 + 4 + 1 = 15 simplices
@@ -209,6 +223,9 @@ class TestSimplicialComplex:
             (lambda: SimplicialComplex(2, {0: [(False,), (True,)]}), "false is not"),
             (lambda: SimplicialComplex(True, {0: [(0,)]}), "true is not"),
             (lambda: from_simplices(2, [(np.float64(0.0), 1)]), "0.0 is not"),
+            (lambda: SimplicialComplex(2, {0: np.array([[False], [True]])}), "false is not"),
+            (lambda: SimplicialComplex(3, {0: np.array([[0.7], [1.2], [2.0]])}), "0.7 is not"),
+            (lambda: SimplicialComplex(3, {0: np.arange(3.0).reshape(3, 1)}), "0.0 is not"),
         ],
     )
     def test_non_integer_vertices_rejected_not_truncated(self, build, message):
@@ -259,6 +276,11 @@ class TestSimplicialComplex:
             ('{"n_vertices": 2, "simplices": {"0": [[0], [1.0]]}}', "1.0 is not an integer"),
             ('{"n_vertices": true, "simplices": {"0": [[0]]}}', "true is not an integer"),
             ('{"n_vertices": 2, "simplices": {"0": [[false], [1]]}}', "false is not an integer"),
+            # vertex ids are int32; a count beyond int64 is rejected the same way
+            ('{"n_vertices": 5000000000, "simplices": {"0": [[0]]}}', "5,000,000,000 vertices exceed"),
+            ('{"n_vertices": 2147483648, "simplices": {"0": [[0]]}}', "2,147,483,648 vertices exceed"),
+            (f'{{"n_vertices": {2**70}, "simplices": {{"0": [[0]]}}}}', "vertices exceed 2\\*\\*31 - 1"),
+            ('{"n_vertices": 2, "simplices": {"0": [[0], [99999999999999999999999]]}}', "outside \\[0, 2\\)"),
         ],
     )
     def test_reader_rejects_what_it_would_misread(self, tmp_path, text, message):
@@ -266,6 +288,28 @@ class TestSimplicialComplex:
         path.write_text(text)
         with pytest.raises(ValueError, match=message):
             SimplicialComplex.load(path)
+
+    def test_largest_vertex_count_loads(self, tmp_path):
+        path = tmp_path / "cx.json"
+        path.write_text('{"n_vertices": 2147483647, "simplices": {"0": [[0], [2147483646]]}}')
+        assert SimplicialComplex.load(path).simplices(0) == [(0,), (2147483646,)]
+
+    def test_sets_are_sorted_read_only_int32_arrays(self):
+        cx = SimplicialComplex(4, {0: [(3,), (0,), (2,), (1,), (0,)], 1: np.array([[1, 2], [0, 1]])})
+        for rows in cx.sets.values():
+            assert rows.dtype == np.int32 and rows.flags.c_contiguous and not rows.flags.writeable
+        np.testing.assert_array_equal(cx.sets[0], [[0], [1], [2], [3]])
+        np.testing.assert_array_equal(cx.sets[1], [[0, 1], [1, 2]])
+
+    def test_caller_arrays_are_copied(self):
+        edges = np.array([[0, 1]], dtype=np.int32)
+        cx = SimplicialComplex(2, {0: [(0,), (1,)], 1: edges})
+        edges[0, 1] = 0
+        assert edges.flags.writeable and cx.simplices(1) == [(0, 1)]
+
+    def test_empty_dimensions_are_dropped(self):
+        cx = SimplicialComplex(2, {0: [(0,), (1,)], 1: [], 2: np.empty((0, 3), dtype=np.int64)})
+        assert list(cx.sets) == [0] and cx == SimplicialComplex(2, {0: [(0,), (1,)]})
 
     def test_from_simplices_adds_faces(self):
         cx = from_simplices(4, [(0, 1, 2)])
@@ -294,3 +338,77 @@ class TestCorpus:
                 for s in cx.simplices(k):
                     for face in itertools.combinations(s, k):
                         assert face in below
+
+
+_COMPLEX_ARGS = st.tuples(st.integers(2, 9), st.floats(0.3, 1.0), st.integers(1, 4), st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(args=_COMPLEX_ARGS, data=st.data())
+def test_shuffled_and_repeated_rows_give_the_canonical_complex(args, data):
+    """Rows in any order, with repeats, as lists or arrays, build the complex
+    the clique enumeration builds, with the same face tables."""
+    cx = random_complex(*args)
+    sets = {}
+    for k in data.draw(st.permutations(list(cx.sets)), label="key order"):
+        rows = cx.sets[k].tolist()
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=5), label="repeats")
+        rows = data.draw(st.permutations(rows), label="order")
+        sets[k] = np.array(rows, dtype=np.int64) if data.draw(st.booleans(), label="as array") else rows
+    rebuilt = SimplicialComplex(cx.n_vertices, sets)
+    assert rebuilt == cx and list(rebuilt.sets) == sorted(cx.sets)
+    for k in range(1, cx.max_dim + 2):
+        np.testing.assert_array_equal(rebuilt.face_table(k), cx.face_table(k))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(
+    args=_COMPLEX_ARGS,
+    fault=st.sampled_from(["length", "order", "above", "below", "missing face", "float", "bool", "negative k"]),
+    data=st.data(),
+)
+def test_one_fault_raises_the_message_that_names_it(args, fault, data):
+    """One malformed row, missing face or dimension in an otherwise well
+    formed complex raises the message naming it."""
+    cx = random_complex(*args)
+    n = cx.n_vertices
+    sets = {k: rows.tolist() for k, rows in cx.sets.items()}
+    low = 1 if fault in ("order", "missing face") else 0
+    assume(cx.max_dim >= low)
+    k = data.draw(st.integers(low, cx.max_dim), label="dimension")
+    j = data.draw(st.integers(0, len(sets[k]) - 1), label="row")
+    c = data.draw(st.integers(0, k), label="column")
+    s = tuple(sets[k][j])
+    if fault == "missing face":
+        face = s[:k - c] + s[k - c + 1:]
+        sets[k - 1].remove(list(face))
+        first = next(t for t in map(tuple, sets[k]) if set(face) < set(t))
+        message = f"face {face} of {first} missing: complex not closed"
+    elif fault == "negative k":
+        sets[-1] = [[]]
+        message = "simplex dimension -1 is negative"
+    else:
+        value = float(s[c]) if fault == "float" else bool(s[c] % 2)
+        bad = {
+            "length": s + (n,),
+            "order": s[::-1],
+            "above": s[:-1] + (n,),
+            "below": (-1,) + s[1:],
+        }.get(fault, s[:c] + (value,) + s[c + 1:])
+        message = {
+            "float": f"{json.dumps(value)} is not an integer",
+            "bool": f"{json.dumps(value)} is not an integer",
+            "length": f"{bad} is not a {k}-simplex",
+            "order": f"simplex {bad} is not strictly increasing",
+        }.get(fault, f"simplex {bad} has vertices outside [0, {n})")
+        sets[k][j] = bad
+        if fault in ("order", "above", "below") and data.draw(st.booleans(), label="as array"):
+            sets[k] = np.array(sets[k], dtype=np.int64)
+    with pytest.raises(ValueError) as info:
+        SimplicialComplex(n, sets)
+    assert str(info.value) == message
+
+
+def test_array_of_the_wrong_width_names_its_first_row():
+    with pytest.raises(ValueError, match=r"^\(0, 1, 2\) is not a 1-simplex$"):
+        SimplicialComplex(3, {0: [(0,), (1,), (2,)], 1: np.array([[1, 2, 0], [0, 1, 2]])})

@@ -54,7 +54,9 @@ def test_every_route_gives_the_known_betti_numbers(name):
 def test_four_torus_outer_dimensions():
     """T^4 has b_k = C(4, k) = (1, 4, 6, 4, 1).  k = 0, 1 and 4 are checked
     through the kernel count, the GF(p) rank and the thermal floor; k = 2
-    and 3 would each need a 4050 x 4050 Gram eigensolve."""
+    and 3 through the GF(p) rank alone, which reads the face tables of the
+    4,050-, 4,860- and 1,944-row dimensions.  Their eigen-routes would each
+    need a 4050 x 4050 Gram eigensolve."""
     cx = torus(4)
     assert tuple(cx.num_simplices(k) for k in range(5)) == (81, 1215, 4050, 4860, 1944)
     for k, spec in laplacian_spectra(cx, (0, 1, 4)).items():
@@ -62,6 +64,8 @@ def test_four_torus_outer_dimensions():
         assert betti_exact_kernel(spec) == b, k
         assert betti_exact_rank(cx, k).betti == b, k
         assert betti_thermal(spec, 4.0 * beta_threshold(spec, spec.dim)).betti_floor == b, k
+    for k in (2, 3):
+        assert betti_exact_rank(cx, k).betti == (1, 4, 6, 4, 1)[k], k
 
 
 def test_klein_bottle_torsion_shows_over_gf2(monkeypatch):
