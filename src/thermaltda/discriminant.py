@@ -14,6 +14,14 @@ ratio gamma(omega)/gamma(-omega) = exp(beta * omega) favors cooling and
 the stationary state is the Gibbs state of +H.  With exact frequency
 resolution (flat window, all level spacings on the grid) the top
 eigenvector is the canonical purification exactly.
+
+Real form: S swaps the two copies, p = i*dim + k -> k*dim + i.  Swapping the
+factors of a coherent term, a real rate times A (x) conj(A), or of the decay
+term N (x) I + I (x) conj(N), conjugates it, so D[S p, S q] = conj(D[p, q]):
+D maps vectorised Hermitian matrices to vectorised Hermitian matrices.  In
+the orthonormal basis U of Hermitian matrix units (e_ii, (e_ik + e_ki)/sqrt 2
+and i(e_ik - e_ki)/sqrt 2 for i < k) it is the real symmetric R = U^dagger D U,
+which has D's spectrum and, through the unitary U, its eigenvectors.
 """
 
 from __future__ import annotations
@@ -25,9 +33,10 @@ import numpy as np
 
 from .swaptest import StateVector, sqrt_gibbs
 
-# D is (2^n)^2 x (2^n)^2 and its dense eigh is O(dim^6): at n = 5 (1024^2, 17 MB)
-# a default annealing run takes seconds, at n = 6 (4096^2, 268 MB) it does not
-# finish in minutes, so the cap is n = 5, at most 32 levels
+# D is (2^n)^2 x (2^n)^2 and the dense eigh of its real form is O(dim^6): at
+# n = 5 (1024^2, 17 MB) a default discriminant-check (6 steps, grid 32) takes
+# 2.0-2.5 s at a 140 MB peak RSS on a 2-core VM, and n = 6 (4096^2, 268 MB) would
+# cost about 64 times that per eigensolve, so the cap is n = 5, at most 32 levels
 MAX_DOUBLED_DIM = 1024
 # make_grid spans [-norm_h, norm_h): widening the level-spacing width by a
 # quarter keeps the extreme transition frequencies off the aliased edge point
@@ -110,14 +119,10 @@ class JumpSet:
 
 def pauli_jumps(n_qubits: int) -> JumpSet:
     """All 3n single-site Pauli operators on n qubits."""
-    ops = []
-    for i in range(n_qubits):
-        for pauli in _PAULI.values():
-            op = np.array([[1.0 + 0j]])
-            for q in range(n_qubits):
-                op = np.kron(op, pauli if q == i else np.eye(2, dtype=complex))
-            ops.append(op)
-    return JumpSet(operators=ops)
+    return JumpSet(operators=[
+        np.kron(np.kron(np.eye(2**i), pauli), np.eye(2 ** (n_qubits - i - 1)))
+        for i in range(n_qubits) for pauli in _PAULI.values()
+    ])
 
 
 def _smear(evals: np.ndarray, grid: FrequencyGrid, window: GaussianWindow) -> np.ndarray:
@@ -133,10 +138,11 @@ def _smear(evals: np.ndarray, grid: FrequencyGrid, window: GaussianWindow) -> np
     return (weighted @ np.exp(1j * np.multiply.outer(times, gaps))).reshape(-1, evals.size, evals.size)
 
 
-def _fourier_components(op: np.ndarray, evecs: np.ndarray, smear: np.ndarray) -> np.ndarray:
-    """Stack of A(omega) over the grid: op in the H eigenbasis, smeared, rotated back."""
-    in_basis = evecs.conj().T @ op @ evecs
-    return evecs @ (in_basis * smear / math.sqrt(smear.shape[0])) @ evecs.conj().T
+def _fourier_components(ops: np.ndarray, evecs: np.ndarray, smear: np.ndarray) -> np.ndarray:
+    """A(omega) over the grid for each of a stack of ops, shape (len(ops), M, dim, dim):
+    each op in the H eigenbasis, smeared, rotated back."""
+    in_basis = evecs.conj().T @ ops @ evecs
+    return evecs @ (in_basis[:, None] * smear / math.sqrt(smear.shape[0])) @ evecs.conj().T
 
 
 def operator_fourier(
@@ -155,7 +161,7 @@ def operator_fourier(
     the operator's matrix elements; A(omega)^dagger = A(-omega).
     """
     evals, evecs = np.linalg.eigh(hamiltonian)
-    comps = _fourier_components(op, evecs, _smear(evals, grid, window))
+    comps = _fourier_components(op[None], evecs, _smear(evals, grid, window))[0]
     return {float(w): comps[i] for i, w in enumerate(grid.omegas)}
 
 
@@ -249,29 +255,29 @@ def build_discriminant(
     sym_rates = np.sqrt(gammas * gammas_neg)
     decay_rates = gammas.copy()
     decay_rates[0] = sym_rates[0]
-    # coherent[(i, j), (k, l)] = sum_omega rate A[i, j] conj(A[k, l])
-    coherent = np.zeros((dim * dim, dim * dim), dtype=complex)
-    norm_term = np.zeros((dim, dim), dtype=complex)
     smear = _smear(evals, grid, window)
-    for op in jumps.operators:
-        comps = _fourier_components(op, evecs, smear)
-        flat = comps.reshape(grid.m_points, dim * dim)
-        coherent += (flat.T * sym_rates) @ flat.conj()
-        norm_term += np.tensordot(decay_rates, comps.conj().transpose(0, 2, 1) @ comps, axes=1)
-    # reorder to the kron(A, conj A) index ((i, k), (j, l))
-    coherent = coherent.reshape((dim,) * 4).transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
-    eye = np.eye(dim, dtype=complex)
-    decay = 0.5 * (np.kron(norm_term, eye) + np.kron(eye, norm_term.conj()))
-    d_matrix = (coherent - decay) / len(jumps.operators)
+    # accumulates sum over jumps and omega of rate A[i, j] conj(A[k, l]) at ((i, j), (k, l))
+    d_matrix = np.zeros((dim * dim, dim * dim), dtype=complex)
+    norm_term = np.zeros((dim, dim), dtype=complex)
+    ops = np.asarray(jumps.operators)
+    # chunks of jumps whose component stacks take at most half of D's size, so a stack
+    # and its conjugate fit in D's footprint (or one jump each)
+    for chunk in np.array_split(ops, min(len(ops), math.ceil(2 * len(ops) * grid.m_points / dim**2))):
+        comps = _fourier_components(chunk, evecs, smear)  # axes (jump, omega, row, col)
+        conj = comps.conj()
+        d_matrix += (comps.reshape(-1, dim * dim).T * np.tile(sym_rates, len(chunk))) @ conj.reshape(-1, dim * dim)
+        conj *= decay_rates[:, None, None]
+        norm_term += conj.reshape(-1, dim).T @ comps.reshape(-1, dim)
+    # reorder to the kron(A, conj A) index ((i, k), (j, l)), then subtract the
+    # decay term in place: N x I lives on the k = l entries, I x conj(N) on i = j
+    d_matrix = d_matrix.reshape((dim,) * 4).transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
+    blocks = d_matrix.reshape((dim,) * 4)
+    diag = np.arange(dim)
+    blocks[:, diag, :, diag] -= 0.5 * norm_term
+    blocks[diag, :, diag, :] -= 0.5 * norm_term.conj()
+    d_matrix /= len(jumps.operators)
     defect = float(np.abs(d_matrix - d_matrix.conj().T).max())
-    return DiscriminantModel(
-        hamiltonian=hamiltonian,
-        beta=beta,
-        d_matrix=d_matrix,
-        hermiticity_defect=defect,
-        h_eigenvalues=evals,
-        h_eigenvectors=evecs,
-    )
+    return DiscriminantModel(hamiltonian, beta, d_matrix, defect, evals, evecs)
 
 
 def canonical_purification_vector(hamiltonian: np.ndarray, beta: float) -> np.ndarray:
@@ -286,15 +292,33 @@ def _fidelity(vec: np.ndarray, model: DiscriminantModel, beta: float) -> float:
     return float(abs(np.vdot(vec, target)) ** 2)
 
 
+def _top_eigenpair(d_matrix: np.ndarray) -> tuple[float, np.ndarray]:
+    """Top eigenvalue and unit eigenvector of D from its real form R (module
+    docstring).  Column x of U is c_x e_p + conj(c_x) e_Sp with p = p[x], a
+    diagonal unit written as halves of e_ii + e_ii; R is gathered from D."""
+    dim = math.isqrt(d_matrix.shape[0])
+    diag, (i, k) = np.arange(dim) * (dim + 1), np.triu_indices(dim, 1)
+    p = np.concatenate([diag, i * dim + k, i * dim + k])
+    sp = np.concatenate([diag, k * dim + i, k * dim + i])
+    c = np.concatenate([np.full(dim, 0.5), np.full(i.size, 0.5**0.5), np.full(i.size, 1j * 0.5**0.5)])
+    # R[x, y] = 2 Re(conj(c_x) (c_y D[p_x, p_y] + conj(c_y) D[p_x, S p_y])),
+    # since the S p rows of D are the conjugates of its p rows
+    block = d_matrix[np.ix_(p, p)] * c + d_matrix[np.ix_(p, sp)] * c.conj()
+    evals, evecs = np.linalg.eigh(2.0 * (c.conj()[:, None] * block).real)
+    vec = np.zeros(d_matrix.shape[0], dtype=complex)
+    np.add.at(vec, p, c * evecs[:, -1])
+    np.add.at(vec, sp, c.conj() * evecs[:, -1])
+    return float(evals[-1]), vec
+
+
 def top_eigenvector(model: DiscriminantModel) -> tuple[float, StateVector, float]:
     """Dominant eigenpair of I + D and its fidelity to the purification.
 
     Returns (top eigenvalue of I + D, eigenvector, squared overlap with the
     canonical purification at the model's inverse temperature).
     """
-    evals, evecs = np.linalg.eigh(model.d_matrix)
-    vec = evecs[:, -1]
-    return 1.0 + float(evals[-1]), StateVector(vec), _fidelity(vec, model, model.beta)
+    val, vec = _top_eigenpair(model.d_matrix)
+    return 1.0 + val, StateVector(vec), _fidelity(vec, model, model.beta)
 
 
 @dataclass(frozen=True)

@@ -107,13 +107,17 @@ def scaling_experiment(
 @dataclass(frozen=True)
 class FitLine:
     slope: float
+    slope_se: float  # standard error of the slope, from the residuals
     intercept: float
     r_squared: float
     n_points: int
 
 
 def _line_json(f: FitLine) -> dict:
-    return {"slope": f.slope, "intercept": f.intercept, "r2": f.r_squared, "n": f.n_points}
+    return {
+        "slope": f.slope, "slope_se": f.slope_se, "intercept": f.intercept,
+        "r2": f.r_squared, "n": f.n_points,
+    }
 
 
 @dataclass(frozen=True)
@@ -142,14 +146,15 @@ def _fit_line(records: list) -> FitLine:
     Raises InsufficientDataError for fewer than MIN_FIT_POINTS records, for
     records that share one gap, which leave the slope undefined, or for
     records that share one threshold, whose slope is 0 and whose r^2 is
-    undefined; and ValueError for a gap or threshold that is not positive.
+    undefined; and ValueError for a gap or threshold that is not positive
+    and finite.
     """
     if len(records) < MIN_FIT_POINTS:
         raise InsufficientDataError(
             f"need at least {MIN_FIT_POINTS} records, got {len(records)}"
         )
-    if any(r.delta_gap <= 0.0 or r.beta_threshold <= 0.0 for r in records):
-        raise ValueError("power-law fit needs positive gaps and thresholds")
+    if not all(0.0 < v < np.inf for r in records for v in (r.delta_gap, r.beta_threshold)):
+        raise ValueError("power-law fit needs positive, finite gaps and thresholds")
     log_x = np.log([r.delta_gap for r in records])
     log_y = np.log([r.beta_threshold for r in records])
     if np.all(log_x == log_x[0]):
@@ -161,7 +166,8 @@ def _fit_line(records: list) -> FitLine:
     ss_res = float(((log_y - predicted) ** 2).sum())
     ss_tot = float(((log_y - log_y.mean()) ** 2).sum())
     r2 = max(0.0, 1.0 - ss_res / ss_tot)
-    return FitLine(float(slope), float(intercept), r2, log_x.size)
+    slope_se = float(np.sqrt(ss_res / (log_x.size - 2) / ((log_x - log_x.mean()) ** 2).sum()))
+    return FitLine(float(slope), slope_se, float(intercept), r2, log_x.size)
 
 
 def fit_power_law(records, group_by_k: bool = False) -> PowerLawFit:

@@ -383,6 +383,20 @@ class TestDiscriminantCheck:
         assert result.exit_code == 0
         assert json.loads(out.read_text())["steps"][0]["fidelity"] >= 0.99
 
+    def test_single_simplex_real_form(self, runner, tmp_path):
+        # one 2-simplex: one qubit, a 4 x 4 D whose real form has a single
+        # off-diagonal pair of Hermitian units
+        out = tmp_path / "report.json"
+        result = invoke(
+            runner, "discriminant-check", "--corpus", "filled-triangle", "--k", 2,
+            "--steps", 2, "--out", out,
+        )
+        assert result.exit_code == 0, result.output
+        steps = json.loads(out.read_text())["steps"]
+        assert len(steps) == 3
+        assert all(s["top_eigenvalue"] <= 1.0 + 1e-8 for s in steps)
+        assert steps[0]["fidelity"] >= 0.99
+
     def test_dimension_cap_enforced(self, runner, tmp_path, monkeypatch):
         cx_path = tmp_path / "big.json"
         result = invoke(

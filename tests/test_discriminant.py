@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import heisenberg
 from thermaltda.complexes import CORPUS
 from thermaltda.homology import combinatorial_laplacian
 from thermaltda.discriminant import (
+    JumpSet,
+    _top_eigenpair,
     annealing_path,
     bohr_coverage,
     build_discriminant,
@@ -314,6 +317,86 @@ class TestTopEigenvector:
             fids.append(fid)
         assert fids[1] >= fids[0] - 1e-3
         assert fids[2] >= fids[1] - 1e-3
+
+
+def copy_swap(dim):
+    """The permutation S of the doubled index: i * dim + k -> k * dim + i."""
+    return np.arange(dim * dim).reshape(dim, dim).T.reshape(-1)
+
+
+def random_hermitian(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return a + a.conj().T
+
+
+class TestRealForm:
+    """D[S p, S q] = conj(D[p, q]) makes D real in the basis of Hermitian matrix
+    units; top_eigenvector solves that real form, and must agree with the
+    complex eigensolve of D."""
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 3.0])
+    @pytest.mark.parametrize(
+        "h",
+        [
+            Z,
+            pad_hamiltonian(HOLLOW_L1),
+            pad_hamiltonian(combinatorial_laplacian(CORPUS["octahedron-boundary"](), 1)),
+        ],
+        ids=["Z", "hollow", "octahedron"],
+    )
+    def test_copy_swap_conjugates(self, h, beta):
+        dim = h.shape[0]
+        grid = make_grid(bohr_coverage(h), 16)
+        win = gaussian_window(grid, default_sigma_t(beta, grid))
+        d = build_discriminant(h, pauli_jumps(int(math.log2(dim))), grid, win, beta).d_matrix
+        s = copy_swap(dim)
+        assert np.abs(d[s][:, s] - d.conj()).max() <= 1e-14
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 6),
+        n_jumps=st.integers(1, 3),
+        beta=st.floats(0.0, 4.0),
+        m=st.sampled_from([8, 16]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_complex_eigh(self, dim, n_jumps, beta, m, seed):
+        rng = np.random.default_rng(seed)
+        h = random_hermitian(rng, dim)
+        jumps = JumpSet([random_hermitian(rng, dim) for _ in range(n_jumps)])
+        # the unit margin keeps the grid's span positive for a single level
+        grid = make_grid(bohr_coverage(h) + 1.0, m)
+        model = build_discriminant(h, jumps, grid, gaussian_window(grid, default_sigma_t(beta, grid)), beta)
+        val, vec = _top_eigenpair(model.d_matrix)
+        evals, evecs = np.linalg.eigh(model.d_matrix)
+        assert abs(val - evals[-1]) <= 1e-12
+        if dim & (dim - 1) == 0:  # a power-of-two register: the public tuple
+            top_val, state, fid = top_eigenvector(model)
+            assert top_val == 1.0 + val
+            np.testing.assert_array_equal(state.amplitudes, vec)
+        if dim > 1 and evals[-1] - evals[-2] <= 1e-6:
+            return  # a near-degenerate top has no unique vector to compare
+        top = evecs[:, -1]
+        assert abs(np.vdot(top, vec)) ** 2 >= 1.0 - 1e-10
+        target = canonical_purification_vector(h, beta)
+        fid = abs(np.vdot(vec, target)) ** 2
+        assert abs(fid - abs(np.vdot(top, target)) ** 2) <= 1e-10
+
+    def test_solves_a_real_matrix(self, monkeypatch):
+        # the eigensolve sees the d^2 x d^2 real form, never the complex D
+        seen = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            seen.append((np.asarray(a).dtype, np.shape(a)))
+            return eigh(a, *args, **kwargs)
+
+        h = pad_hamiltonian(HOLLOW_L1)
+        grid = make_grid(bohr_coverage(h), 16)
+        model = build_discriminant(h, pauli_jumps(2), grid, gaussian_window(grid, 1.0), 1.0)
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        top_eigenvector(model)
+        assert seen == [(np.dtype(np.float64), (16, 16))]
 
 
 class TestAnnealing:

@@ -5,6 +5,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermaltda.complexes import CORPUS
 from thermaltda.experiments import (
@@ -141,6 +142,14 @@ class TestScalingExperiment:
             scaling_experiment(10, [1], 5, 1e-3, (0.9, 0.3), 0)
 
 
+# mostly positive finite values, some nearly equal, some of any kind at all
+ANY_VALUE = (
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    | st.sampled_from([1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), 2.0])
+    | st.floats()
+)
+
+
 class TestFitPowerLaw:
     def test_exact_power_law_recovered(self):
         gaps = np.logspace(-2, 1, 40)
@@ -148,6 +157,46 @@ class TestFitPowerLaw:
         assert fit.slope == pytest.approx(-0.7, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
         assert fit.n_points == 40
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        # a zero slope is one shared threshold, which withholds the fit
+        slope=st.floats(-3.0, -0.1) | st.floats(0.1, 3.0),
+        scale=st.floats(0.1, 10.0),
+        lo=st.floats(-8.0, 2.0),
+        n=st.integers(10, 60),
+    )
+    def test_exact_power_law_has_no_slope_error(self, slope, scale, lo, n):
+        gaps = np.exp(np.linspace(lo, lo + 4.0, n))
+        fit = fit_power_law(synthetic_records(gaps, scale * gaps**slope))
+        assert abs(fit.slope - slope) <= 1e-9
+        assert fit.slope_se <= 1e-9
+
+    def test_slope_error_matches_textbook_formula(self):
+        rng = np.random.default_rng(5)
+        log_g = np.linspace(-3.0, 1.0, 30)
+        log_t = -0.6 * log_g + 0.2 + rng.normal(scale=0.1, size=30)
+        fit = fit_power_law(synthetic_records(np.exp(log_g), np.exp(log_t)))
+        residuals = log_t - (fit.slope * log_g + fit.intercept)
+        expected = math.sqrt((residuals**2).sum() / 28 / ((log_g - log_g.mean()) ** 2).sum())
+        assert fit.slope_se == pytest.approx(expected, rel=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(ANY_VALUE, ANY_VALUE), max_size=30), st.booleans())
+    def test_any_input_fits_or_refuses(self, pairs, group_by_k):
+        """Every input either fits, with a finite slope error, or raises
+        InsufficientDataError or the positivity ValueError."""
+        gaps, thresholds = [g for g, _ in pairs], [t for _, t in pairs]
+        records = [replace(r, k=i % 2) for i, r in enumerate(synthetic_records(gaps, thresholds))]
+        try:
+            fit = fit_power_law(records, group_by_k=group_by_k)
+        except InsufficientDataError:
+            return
+        except ValueError as exc:
+            assert "positive, finite" in str(exc)
+            return
+        for line in (fit, *fit.per_k.values()):
+            assert math.isfinite(line.slope) and math.isfinite(line.slope_se) and line.slope_se >= 0.0
 
     def test_log_correction_flattens_slope(self):
         # threshold ~ gap^-1 / ln(1/gap): the correction pulls the fitted
@@ -215,7 +264,8 @@ class TestFitPowerLaw:
         fit = fit_power_law(small_run.records, group_by_k=True)
         data = fit.to_json_dict()
         assert set(data) == {"pooled", "per_k"}
-        assert set(data["pooled"]) == {"slope", "intercept", "r2", "n"}
+        assert set(data["pooled"]) == {"slope", "slope_se", "intercept", "r2", "n"}
+        assert data["pooled"]["slope_se"] == fit.slope_se > 0.0
 
 
 class TestScalingCsv:
