@@ -21,7 +21,8 @@ term N (x) I + I (x) conj(N), conjugates it, so D[S p, S q] = conj(D[p, q]):
 D maps vectorised Hermitian matrices to vectorised Hermitian matrices.  In
 the orthonormal basis U of Hermitian matrix units (e_ii, (e_ik + e_ki)/sqrt 2
 and i(e_ik - e_ki)/sqrt 2 for i < k) it is the real symmetric R = U^dagger D U,
-which has D's spectrum and, through the unitary U, its eigenvectors.
+which has D's spectrum and, through U, its eigenvectors: Lanczos on D from a generic
+Hermitian start is exact Lanczos on R (from vec(I) it can stay in one symmetry sector).
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ import numpy as np
 
 from .swaptest import StateVector, sqrt_gibbs
 
-# D is (2^n)^2 x (2^n)^2 and the dense eigh of its real form is O(dim^6): at
-# n = 5 (1024^2, 17 MB) a default discriminant-check (6 steps, grid 32) takes
-# 2.0-2.5 s at a 140 MB peak RSS on a 2-core VM, and n = 6 (4096^2, 268 MB) would
-# cost about 64 times that per eigensolve, so the cap is n = 5, at most 32 levels
+# D is (2^n)^2 x (2^n)^2: at n = 5 (1024^2, 17 MB) a default discriminant-check
+# (6 steps, grid 32) takes 0.9-1.3 s at a 130 MB peak RSS on a 2-core VM, four
+# fifths of it in build_discriminant's Gram products, which grow as dim^4 times
+# the 3n jumps; n = 6 (4096^2, 268 MB) would cost about 20 times that per build,
+# so the cap is n = 5, at most 32 levels
 MAX_DOUBLED_DIM = 1024
 # make_grid spans [-norm_h, norm_h): widening the level-spacing width by a
 # quarter keeps the extreme transition frequencies off the aliased edge point
@@ -293,22 +295,30 @@ def _fidelity(vec: np.ndarray, model: DiscriminantModel, beta: float) -> float:
 
 
 def _top_eigenpair(d_matrix: np.ndarray) -> tuple[float, np.ndarray]:
-    """Top eigenvalue and unit eigenvector of D from its real form R (module
-    docstring).  Column x of U is c_x e_p + conj(c_x) e_Sp with p = p[x], a
-    diagonal unit written as halves of e_ii + e_ii; R is gathered from D."""
-    dim = math.isqrt(d_matrix.shape[0])
-    diag, (i, k) = np.arange(dim) * (dim + 1), np.triu_indices(dim, 1)
-    p = np.concatenate([diag, i * dim + k, i * dim + k])
-    sp = np.concatenate([diag, k * dim + i, k * dim + i])
-    c = np.concatenate([np.full(dim, 0.5), np.full(i.size, 0.5**0.5), np.full(i.size, 1j * 0.5**0.5)])
-    # R[x, y] = 2 Re(conj(c_x) (c_y D[p_x, p_y] + conj(c_y) D[p_x, S p_y])),
-    # since the S p rows of D are the conjugates of its p rows
-    block = d_matrix[np.ix_(p, p)] * c + d_matrix[np.ix_(p, sp)] * c.conj()
-    evals, evecs = np.linalg.eigh(2.0 * (c.conj()[:, None] * block).real)
-    vec = np.zeros(d_matrix.shape[0], dtype=complex)
-    np.add.at(vec, p, c * evecs[:, -1])
-    np.add.at(vec, sp, c.conj() * evecs[:, -1])
-    return float(evals[-1]), vec
+    """Top eigenvalue and unit eigenvector of D by Lanczos (Paige 1971) on its real form, from a
+    fixed random Hermitian start, until beta_j |s_j| <= 1e-12 max |theta| within dim^2 steps."""
+    n, dim = len(d_matrix), math.isqrt(len(d_matrix))
+    re, im = np.random.default_rng(0).normal(size=(2, dim, dim))
+    w = (re + re.T + 1j * (im - im.T)).view(float).reshape(-1)
+    # Krylov vectors as rows of float views, whose dot products are the real
+    # form's inner products; pages are touched only as rows are written
+    rows = np.empty((n, 2 * n))
+    # the Lanczos tridiagonal, written one row at a time; the eigh below copies its block
+    t, beta = np.zeros((n + 1, n + 1)), np.linalg.norm(w)
+    for j in range(n):
+        rows[j] = w / beta
+        w = (d_matrix @ rows[j].view(complex)).reshape(dim, dim)
+        # D v is Hermitian only up to rounding, and reorthogonalising in the real
+        # form never removes the rest, which D would amplify step by step
+        w = ((w + w.conj().T) / 2).view(float).reshape(-1)
+        t[j, j] = rows[j] @ w
+        for _ in range(2):  # full reorthogonalisation, twice
+            w -= (rows[: j + 1] @ w) @ rows[: j + 1]
+        beta = t[j, j + 1] = t[j + 1, j] = np.linalg.norm(w)
+        thetas, s = np.linalg.eigh(t[: j + 1, : j + 1])
+        if beta * abs(s[-1, -1]) <= 1e-12 * np.abs(thetas).max():
+            return float(thetas[-1]), (s[:, -1] @ rows[: j + 1]).view(complex)
+    raise ArithmeticError(f"Lanczos on the discriminant missed its residual tolerance in {n} steps")
 
 
 def top_eigenvector(model: DiscriminantModel) -> tuple[float, StateVector, float]:
@@ -317,6 +327,8 @@ def top_eigenvector(model: DiscriminantModel) -> tuple[float, StateVector, float
     Returns (top eigenvalue of I + D, eigenvector, squared overlap with the
     canonical purification at the model's inverse temperature).
     """
+    if (dim := len(model.hamiltonian)) & (dim - 1):
+        raise ValueError(f"H has dimension {dim}, but the eigenvector's doubled register needs 2^q levels")
     val, vec = _top_eigenpair(model.d_matrix)
     return 1.0 + val, StateVector(vec), _fidelity(vec, model, model.beta)
 
@@ -349,11 +361,10 @@ def annealing_path(
 ) -> AnnealingReport:
     """Follow the top eigenvector of the discriminant along a beta schedule.
 
-    The schedule must start at 0 and increase.  Consecutive squared
-    overlaps are an adiabaticity proxy; the endpoint fidelity matches a
-    direct build at the final beta since each step is an exact
-    eigendecomposition.  Both the purification fidelity at beta and at
-    beta/2 are recorded (the two normalization readings of the target).
+    The schedule must start at 0 and increase.  Consecutive squared overlaps are an
+    adiabaticity proxy; the endpoint fidelity matches a direct build at the final beta,
+    each step being solved to a 1e-12 residual.  The purification fidelity is recorded
+    at beta and at beta/2 (the two normalization readings of the target).
     """
     betas = [float(b) for b in betas]
     if not betas or betas[0] != 0.0 or any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import heisenberg
-from thermaltda.complexes import CORPUS
+from thermaltda.complexes import CORPUS, random_complex
 from thermaltda.homology import combinatorial_laplacian
+from thermaltda import discriminant
 from thermaltda.discriminant import (
     JumpSet,
     _top_eigenpair,
@@ -290,6 +291,15 @@ class TestDiscriminant:
 
 
 class TestTopEigenvector:
+    def test_rejects_a_non_power_of_two_register(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        grid = make_grid(bohr_coverage(HOLLOW_L1), 16)
+        jumps = JumpSet([random_hermitian(rng, 3)])
+        model = build_discriminant(HOLLOW_L1.astype(complex), jumps, grid, flat_window(grid), 1.0)
+        monkeypatch.setattr(discriminant, "_top_eigenpair", lambda d: pytest.fail("solved"))
+        with pytest.raises(ValueError, match=r"dimension 3, .* needs 2\^q levels"):
+            top_eigenvector(model)
+
     def test_single_qubit_default_window_high_fidelity(self):
         jumps = pauli_jumps(1)
         grid = make_grid(bohr_coverage(Z), 32)
@@ -319,6 +329,17 @@ class TestTopEigenvector:
         assert fids[2] >= fids[1] - 1e-3
 
 
+OCTAHEDRON = CORPUS["octahedron-boundary"]()
+
+
+def cli_scale_model(cx, beta):
+    """The model a default discriminant-check at k = 1 builds at beta: padded H, grid 32."""
+    h = pad_hamiltonian(combinatorial_laplacian(cx, 1))
+    grid = make_grid(bohr_coverage(h), 32)
+    win = gaussian_window(grid, default_sigma_t(beta, grid))
+    return build_discriminant(h, pauli_jumps(int(math.log2(h.shape[0]))), grid, win, beta)
+
+
 def copy_swap(dim):
     """The permutation S of the doubled index: i * dim + k -> k * dim + i."""
     return np.arange(dim * dim).reshape(dim, dim).T.reshape(-1)
@@ -331,8 +352,8 @@ def random_hermitian(rng, dim):
 
 class TestRealForm:
     """D[S p, S q] = conj(D[p, q]) makes D real in the basis of Hermitian matrix
-    units; top_eigenvector solves that real form, and must agree with the
-    complex eigensolve of D."""
+    units; Lanczos from a Hermitian start runs in that real form, and must
+    agree with the complex eigensolve of D."""
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, 3.0])
     @pytest.mark.parametrize(
@@ -382,21 +403,43 @@ class TestRealForm:
         fid = abs(np.vdot(vec, target)) ** 2
         assert abs(fid - abs(np.vdot(top, target)) ** 2) <= 1e-10
 
-    def test_solves_a_real_matrix(self, monkeypatch):
-        # the eigensolve sees the d^2 x d^2 real form, never the complex D
-        seen = []
-        eigh = np.linalg.eigh
+    @pytest.mark.parametrize(
+        "complex_name,beta", [("octahedron", 0.0), ("octahedron", 1.0), ("octahedron", 3.0), ("dim32", 1.0)]
+    )
+    def test_matches_complex_eigh_at_cli_scale(self, complex_name, beta):
+        # dim32: 26 edges, so a 32-level register and a 1024 x 1024 D, the cap
+        cx = OCTAHEDRON if complex_name == "octahedron" else random_complex(9, 0.55, 2, 8)
+        d = cli_scale_model(cx, beta).d_matrix
+        val, vec = _top_eigenpair(d)
+        evals, evecs = np.linalg.eigh(d)
+        assert abs(val - evals[-1]) <= 1e-12
+        assert abs(np.vdot(evecs[:, -1], vec)) ** 2 >= 1.0 - 1e-10
+        assert np.linalg.norm(d @ vec - val * vec) <= 1e-10
 
-        def spy(a, *args, **kwargs):
-            seen.append((np.asarray(a).dtype, np.shape(a)))
-            return eigh(a, *args, **kwargs)
+    def test_escapes_the_identity_sector(self):
+        # D = -I + 2 u u^dagger with u = vec(Z)/sqrt 2, orthogonal to vec(I): a
+        # start from vec(I) stays in the -1 eigenspace and would report -1
+        u = Z.reshape(-1) / math.sqrt(2.0)
+        val, vec = _top_eigenpair(-np.eye(4) + 2.0 * np.outer(u, u.conj()))
+        assert abs(val - 1.0) <= 1e-12
+        assert abs(np.vdot(u, vec)) ** 2 >= 1.0 - 1e-10
 
-        h = pad_hamiltonian(HOLLOW_L1)
-        grid = make_grid(bohr_coverage(h), 16)
-        model = build_discriminant(h, pauli_jumps(2), grid, gaussian_window(grid, 1.0), 1.0)
-        monkeypatch.setattr(np.linalg, "eigh", spy)
+    def test_no_dense_solve_of_d(self, monkeypatch):
+        # the eigensolves inside top_eigenvector are of the small Lanczos
+        # matrix, never of the d^2 x d^2 D or its real form
+        model = cli_scale_model(OCTAHEDRON, 1.0)
+        assert model.d_matrix.shape == (256, 256)
+        rows = []
+        for name in ("eigh", "eigvalsh"):
+            solve = getattr(np.linalg, name)
+
+            def spy(a, *args, _solve=solve, **kwargs):
+                rows.append(np.shape(a)[0])
+                return _solve(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
         top_eigenvector(model)
-        assert seen == [(np.dtype(np.float64), (16, 16))]
+        assert rows and max(rows) < 256
 
 
 class TestAnnealing:
