@@ -279,10 +279,11 @@ def cmd_scaling(n, ks, instances, criterion, edge_prob_lo, edge_prob_hi, seed, o
 @click.option("--corpus", "corpus_name", type=click.Choice(sorted(CORPUS)), default=None)
 @click.option("--k", type=click.IntRange(min=0), required=True)
 @click.option("--beta", type=BETA, default=1.0, show_default=True, help="target inverse temperature")
-# the operator Fourier transform holds an M x M phase matrix: 16 MB at the cap
+# the smear's M x M phase matrix and its M x dim^2 Gram factor take 16 MB each at
+# the cap, where a default dim-32 run takes 3.1-3.6 s at a 160 MB peak RSS (2-core VM)
 @click.option("--grid-m", type=click.IntRange(min=4, max=1024), default=32, show_default=True)
-# each step is a full discriminant build and Lanczos solve, about 0.18 s at dim 32,
-# where a default run (6 steps) peaks at 130 MB RSS
+# each step is a full discriminant build and Lanczos solve, about 0.09 s at dim 32
+# (0.11 s at grid 128), where a default run (6 steps) peaks at 92 MB RSS
 @click.option("--steps", type=click.IntRange(min=1, max=1_000), default=5, show_default=True,
               help="annealing steps after beta=0")
 @click.option("--out", "out_path", required=True, type=click.Path())
@@ -291,6 +292,9 @@ def cmd_discriminant_check(input_path, corpus_name, k, beta, grid_m, steps, out_
     cx = _read_complex(input_path, corpus_name)
     jumps = pauli_jumps(register_qubits(cx.num_simplices(k)))
     padded = pad_hamiltonian(combinatorial_laplacian(cx, k))
+    # padding adds a level unless the Laplacian fills the register
+    if not np.any(padded - padded[0, 0] * np.eye(len(padded))):
+        raise ValueError(f"the {k}-Laplacian has a single level, so there is no transition frequency to resolve")
     schedule = [beta * i / steps for i in range(steps + 1)] if beta > 0 else [0.0]
     report = annealing_path(padded, jumps, grid_m, schedule)
     _write_json({"grid_m": grid_m, "beta_target": beta, **asdict(report), "meta": _meta()}, out_path)

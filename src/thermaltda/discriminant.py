@@ -35,10 +35,11 @@ import numpy as np
 from .swaptest import StateVector, sqrt_gibbs
 
 # D is (2^n)^2 x (2^n)^2: at n = 5 (1024^2, 17 MB) a default discriminant-check
-# (6 steps, grid 32) takes 0.9-1.3 s at a 130 MB peak RSS on a 2-core VM, four
-# fifths of it in build_discriminant's Gram products, which grow as dim^4 times
-# the 3n jumps; n = 6 (4096^2, 268 MB) would cost about 20 times that per build,
-# so the cap is n = 5, at most 32 levels
+# (6 steps, grid 32) takes 0.75-1.0 s at a 92 MB peak RSS on a 2-core VM, over a
+# third of it in build_discriminant, which holds two arrays of D's size and
+# spends half its time rotating D out of H's eigenbasis (dim^5 work) and the
+# rest on two dim^4 Grams; n = 6 (4096^2, 268 MB) would cost about 30 times
+# that per build, so the cap is n = 5, at most 32 levels
 MAX_DOUBLED_DIM = 1024
 # make_grid spans [-norm_h, norm_h): widening the level-spacing width by a
 # quarter keeps the extreme transition frequencies off the aliased edge point
@@ -140,13 +141,6 @@ def _smear(evals: np.ndarray, grid: FrequencyGrid, window: GaussianWindow) -> np
     return (weighted @ np.exp(1j * np.multiply.outer(times, gaps))).reshape(-1, evals.size, evals.size)
 
 
-def _fourier_components(ops: np.ndarray, evecs: np.ndarray, smear: np.ndarray) -> np.ndarray:
-    """A(omega) over the grid for each of a stack of ops, shape (len(ops), M, dim, dim):
-    each op in the H eigenbasis, smeared, rotated back."""
-    in_basis = evecs.conj().T @ ops @ evecs
-    return evecs @ (in_basis[:, None] * smear / math.sqrt(smear.shape[0])) @ evecs.conj().T
-
-
 def operator_fourier(
     op: np.ndarray,
     hamiltonian: np.ndarray,
@@ -163,7 +157,9 @@ def operator_fourier(
     the operator's matrix elements; A(omega)^dagger = A(-omega).
     """
     evals, evecs = np.linalg.eigh(hamiltonian)
-    comps = _fourier_components(op[None], evecs, _smear(evals, grid, window))[0]
+    smear = _smear(evals, grid, window)
+    # in H's eigenbasis each component is the op's matrix entrywise times the smear
+    comps = evecs @ (evecs.conj().T @ op @ evecs * smear / math.sqrt(grid.m_points)) @ evecs.conj().T
     return {float(w): comps[i] for i, w in enumerate(grid.omegas)}
 
 
@@ -248,6 +244,12 @@ def build_discriminant(
     frequency (-M omega0 / 2, whose mirror aliases onto itself) also uses
     the symmetrized rate in its decay term; with the bare rate that single
     term could tip the matrix above zero.
+
+    The sums run in H's eigenbasis, where A_a(omega) is the jump's matrix
+    times the smear at omega entrywise, so every sum over (a, omega) of a
+    product of two entries is a sum over a times a sum over omega: the
+    coherent term is the entrywise product of a J-wide and an M-wide Gram,
+    not one (J M)-wide Gram.  D is rotated to the computational basis once.
     """
     dim = hamiltonian.shape[0]
     _check_doubled_dim(dim)
@@ -257,29 +259,64 @@ def build_discriminant(
     sym_rates = np.sqrt(gammas * gammas_neg)
     decay_rates = gammas.copy()
     decay_rates[0] = sym_rates[0]
-    smear = _smear(evals, grid, window)
-    # accumulates sum over jumps and omega of rate A[i, j] conj(A[k, l]) at ((i, j), (k, l))
-    d_matrix = np.zeros((dim * dim, dim * dim), dtype=complex)
-    norm_term = np.zeros((dim, dim), dtype=complex)
-    ops = np.asarray(jumps.operators)
-    # chunks of jumps whose component stacks take at most half of D's size, so a stack
-    # and its conjugate fit in D's footprint (or one jump each)
-    for chunk in np.array_split(ops, min(len(ops), math.ceil(2 * len(ops) * grid.m_points / dim**2))):
-        comps = _fourier_components(chunk, evecs, smear)  # axes (jump, omega, row, col)
-        conj = comps.conj()
-        d_matrix += (comps.reshape(-1, dim * dim).T * np.tile(sym_rates, len(chunk))) @ conj.reshape(-1, dim * dim)
-        conj *= decay_rates[:, None, None]
-        norm_term += conj.reshape(-1, dim).T @ comps.reshape(-1, dim)
-    # reorder to the kron(A, conj A) index ((i, k), (j, l)), then subtract the
-    # decay term in place: N x I lives on the k = l entries, I x conj(N) on i = j
-    d_matrix = d_matrix.reshape((dim,) * 4).transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
-    blocks = d_matrix.reshape((dim,) * 4)
+    # 1/M (the 1/sqrt M of A and of conj A) and D's 1/J ride on the rates
+    scale = 1.0 / (grid.m_points * len(jumps.operators))
+    smear = _smear(evals, grid, window)  # axes (omega, p, p')
+    in_basis = evecs.conj().T @ np.asarray(jumps.operators) @ evecs  # axes (a, p, p')
+    # decay term N = sum rate A^dagger A: over row p, the jumps' Gram of row p
+    # times the rated smears' Gram of row p, entrywise
+    jump_rows, smear_rows = in_basis.transpose(1, 0, 2), smear.transpose(1, 0, 2)
+    norm_term = np.einsum(
+        "pab,pab->ab",
+        jump_rows.conj().transpose(0, 2, 1) @ jump_rows,
+        (smear_rows.conj().transpose(0, 2, 1) * (decay_rates * scale)) @ smear_rows,
+    )
+    # coherent term sum rate A[p, p'] conj(A[q, q']) at ((p, p'), (q, q')): the
+    # jumps' Gram (inner dimension J) times the rated smears' Gram (M), entrywise
+    flat = in_basis.reshape(len(in_basis), -1)
+    d_tilde = flat.T @ flat.conj()
+    smear = smear.reshape(grid.m_points, -1)
+    gram = (smear.T * (sym_rates * scale)) @ smear.conj()
+    d_tilde *= gram
+    del gram
+    # N x I puts N[p, p'] on the q = q' entries, I x conj(N) conj(N)[q, q'] on p = p'
+    blocks = d_tilde.reshape((dim,) * 4)
     diag = np.arange(dim)
-    blocks[:, diag, :, diag] -= 0.5 * norm_term
-    blocks[diag, :, diag, :] -= 0.5 * norm_term.conj()
-    d_matrix /= len(jumps.operators)
-    defect = float(np.abs(d_matrix - d_matrix.conj().T).max())
-    return DiscriminantModel(hamiltonian, beta, d_matrix, defect, evals, evecs)
+    blocks[:, :, diag, diag] -= 0.5 * norm_term[:, :, None]
+    blocks[diag, diag] -= 0.5 * norm_term.conj()
+    d_matrix = _to_computational_basis(d_tilde, evecs)
+    return DiscriminantModel(hamiltonian, beta, d_matrix, _hermiticity_defect(d_matrix), evals, evecs)
+
+
+def _to_computational_basis(d_tilde: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+    """D = K Y K^dagger with K = kron(V, conj V) and Y[(p, q), (p', q')] =
+    d_tilde[(p, p'), (q, q')], the discriminant in H's eigenbasis.
+
+    Four mode products, each one GEMM or one batched matmul that contracts the
+    leading axis (of the whole array or of each batch) and appends the new index
+    last: (p, p', q, q') -> (p', q, q', i) -> (p', q', i, k) -> (q', i, k, j) ->
+    (i, k, j, l), which is D[(i, k), (j, l)].  They alternate between d_tilde's
+    buffer, which they overwrite and return, and one more of its size.
+    """
+    dim = len(evecs)
+    spare = np.empty_like(d_tilde)
+    np.matmul(d_tilde.reshape(dim, -1).T, evecs.T, out=spare.reshape(-1, dim))
+    np.matmul(spare.reshape(dim, dim, -1).transpose(0, 2, 1), evecs.conj().T, out=d_tilde.reshape(dim, -1, dim))
+    np.matmul(d_tilde.reshape(dim, -1).T, evecs.conj().T, out=spare.reshape(-1, dim))
+    np.matmul(spare.reshape(dim, -1).T, evecs.T, out=d_tilde.reshape(-1, dim))
+    return d_tilde
+
+
+def _hermiticity_defect(d_matrix: np.ndarray) -> float:
+    """max |D - D^dagger| over the 64-row strips of the upper triangle, each
+    against its strip of columns: the entry at (q, p) is the one at (p, q)
+    conjugated and negated, the same modulus.  A strip's transpose stays in
+    cache; D's does not."""
+    n = len(d_matrix)
+    return max(
+        float(np.abs(d_matrix[i : i + 64, i:] - d_matrix[i:, i : i + 64].conj().T).max())
+        for i in range(0, n, 64)
+    )
 
 
 def canonical_purification_vector(hamiltonian: np.ndarray, beta: float) -> np.ndarray:
@@ -393,6 +430,8 @@ def annealing_path(
             )
         )
         prev_vec = state.amplitudes
+        # freed before the next build, which would hold this D beside its own two
+        del model
     overlaps = [s.overlap_prev for s in steps if s.overlap_prev is not None]
     return AnnealingReport(
         grid=grid,

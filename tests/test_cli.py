@@ -575,6 +575,15 @@ class TestBadInput:
         assert "Error:" in result.output and "Laplacian cap" in result.output
         assert not out.exists()
 
+    def test_single_level_laplacian_exits_2(self, runner, tmp_path):
+        """Two disjoint edges: L_1 = 2 I fills a 2-level register, so the
+        discriminant has no transition frequency for its grid to span."""
+        out = tmp_path / "out"
+        result = invoke(runner, "discriminant-check", "--corpus", "two-components", "--k", 1, "--out", out)
+        assert result.exit_code == 2, result.output
+        assert "Error: the 1-Laplacian has a single level, so there is no transition frequency" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("error", [np.linalg.LinAlgError, OverflowError])
     def test_exits_3(self, runner, monkeypatch, error):
         """A solver failure or a float overflow exits 3, never a traceback."""

@@ -442,6 +442,61 @@ class TestRealForm:
         assert rows and max(rows) < 256
 
 
+def fourier_gram_discriminant(h, jumps, grid, window, beta):
+    """Reference assembly from the operator_fourier components: the Gram of every
+    rated vec A_a(omega) at ((i, j), (k, l)), reordered to kron(A, conj A)'s
+    ((i, k), (j, l)), minus the decay term."""
+    dim = h.shape[0]
+    comps = np.array([list(operator_fourier(op, h, grid, window).values()) for op in jumps.operators])
+    rates = np.array([metropolis_weight(w, beta) for w in grid.omegas])
+    sym_rates = np.sqrt(rates * np.array([metropolis_weight(-w, beta) for w in grid.omegas]))
+    decay_rates = np.concatenate([sym_rates[:1], rates[1:]])
+    flat = comps.reshape(-1, dim * dim)
+    coherent = (flat.T * np.tile(sym_rates, len(comps))) @ flat.conj()
+    d_matrix = coherent.reshape((dim,) * 4).transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
+    norm_term = np.einsum("w,awji,awjk->ik", decay_rates, comps.conj(), comps)
+    eye = np.eye(dim)
+    d_matrix -= 0.5 * (np.kron(norm_term, eye) + np.kron(eye, norm_term.conj()))
+    return d_matrix / len(jumps.operators)
+
+
+class TestFactorisedBuild:
+    """build_discriminant forms D in H's eigenbasis from a J-wide and an M-wide
+    Gram and rotates it back; it must match the J*M-wide Gram of the components."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 6),
+        n_jumps=st.integers(1, 3),
+        beta=st.floats(0.0, 4.0),
+        m=st.sampled_from([8, 16, 64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_component_gram(self, dim, n_jumps, beta, m, seed):
+        rng = np.random.default_rng(seed)
+        h = random_hermitian(rng, dim)
+        jumps = JumpSet([random_hermitian(rng, dim) for _ in range(n_jumps)])
+        # the unit margin keeps the grid's span positive for a single level
+        grid = make_grid(bohr_coverage(h) + 1.0, m)
+        win = gaussian_window(grid, default_sigma_t(beta, grid))
+        model = build_discriminant(h, jumps, grid, win, beta)
+        expected = fourier_gram_discriminant(h, jumps, grid, win, beta)
+        assert np.abs(model.d_matrix - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("m", [32, 128])
+    def test_matches_component_gram_at_the_cap(self, m):
+        # 26 edges: a 32-level register and a 1024 x 1024 D
+        h = pad_hamiltonian(combinatorial_laplacian(random_complex(9, 0.55, 2, 8), 1))
+        jumps = pauli_jumps(5)
+        grid = make_grid(bohr_coverage(h), m)
+        win = gaussian_window(grid, default_sigma_t(1.0, grid))
+        model = build_discriminant(h, jumps, grid, win, 1.0)
+        assert model.d_matrix.shape == (1024, 1024)
+        assert np.abs(model.d_matrix - fourier_gram_discriminant(h, jumps, grid, win, 1.0)).max() <= 1e-12
+        # the strip-wise defect is the same float as the whole matrix's
+        assert model.hermiticity_defect == np.abs(model.d_matrix - model.d_matrix.conj().T).max()
+
+
 class TestAnnealing:
     def test_single_step_schedule(self):
         report = annealing_path(Z, pauli_jumps(1), 16, [0.0])
