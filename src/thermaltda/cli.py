@@ -280,10 +280,10 @@ def cmd_scaling(n, ks, instances, criterion, edge_prob_lo, edge_prob_hi, seed, o
 @click.option("--k", type=click.IntRange(min=0), required=True)
 @click.option("--beta", type=BETA, default=1.0, show_default=True, help="target inverse temperature")
 # the smear's M x M phase matrix and its M x dim^2 Gram factor take 16 MB each at
-# the cap, where a default dim-32 run takes 3.1-3.6 s at a 160 MB peak RSS (2-core VM)
+# the cap, where a default dim-32 run takes 2.0-2.2 s at a 139 MB peak RSS (2-core VM)
 @click.option("--grid-m", type=click.IntRange(min=4, max=1024), default=32, show_default=True)
-# each step is a full discriminant build and Lanczos solve, about 0.09 s at dim 32
-# (0.11 s at grid 128), where a default run (6 steps) peaks at 92 MB RSS
+# each step is a full discriminant build and Lanczos solve, about 0.06 s at dim 32
+# (0.08 s at grid 128), where a default run (6 steps) peaks at 75 MB RSS
 @click.option("--steps", type=click.IntRange(min=1, max=1_000), default=5, show_default=True,
               help="annealing steps after beta=0")
 @click.option("--out", "out_path", required=True, type=click.Path())

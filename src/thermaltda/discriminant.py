@@ -15,14 +15,20 @@ the stationary state is the Gibbs state of +H.  With exact frequency
 resolution (flat window, all level spacings on the grid) the top
 eigenvector is the canonical purification exactly.
 
+Basis: D is held in H's eigenbasis V, where each jump's frequency component
+factors (see build_discriminant): it is K^dagger D_c K, for the discriminant
+D_c in the computational basis and K = kron(V, conj V), and only its top
+eigenvector X~ is rotated out, to V X~ V^dagger.
+
 Real form: S swaps the two copies, p = i*dim + k -> k*dim + i.  Swapping the
 factors of a coherent term, a real rate times A (x) conj(A), or of the decay
-term N (x) I + I (x) conj(N), conjugates it, so D[S p, S q] = conj(D[p, q]):
-D maps vectorised Hermitian matrices to vectorised Hermitian matrices.  In
-the orthonormal basis U of Hermitian matrix units (e_ii, (e_ik + e_ki)/sqrt 2
-and i(e_ik - e_ki)/sqrt 2 for i < k) it is the real symmetric R = U^dagger D U,
-which has D's spectrum and, through U, its eigenvectors: Lanczos on D from a generic
-Hermitian start is exact Lanczos on R (from vec(I) it can stay in one symmetry sector).
+term N (x) I + I (x) conj(N), conjugates it in either basis (S K S = conj(K)),
+so D[S p, S q] = conj(D[p, q]): D maps vectorised Hermitian matrices to
+vectorised Hermitian matrices.  In the orthonormal basis U of Hermitian matrix
+units (e_ii, (e_ik + e_ki)/sqrt 2 and i(e_ik - e_ki)/sqrt 2 for i < k) it is the
+real symmetric R = U^dagger D U, which has D's spectrum and, through U, its
+eigenvectors: Lanczos on D from a generic Hermitian start is exact Lanczos on R
+(from vec(I) it can stay in one symmetry sector).
 """
 
 from __future__ import annotations
@@ -35,11 +41,10 @@ import numpy as np
 from .swaptest import StateVector, sqrt_gibbs
 
 # D is (2^n)^2 x (2^n)^2: at n = 5 (1024^2, 17 MB) a default discriminant-check
-# (6 steps, grid 32) takes 0.75-1.0 s at a 92 MB peak RSS on a 2-core VM, over a
-# third of it in build_discriminant, which holds two arrays of D's size and
-# spends half its time rotating D out of H's eigenbasis (dim^5 work) and the
-# rest on two dim^4 Grams; n = 6 (4096^2, 268 MB) would cost about 30 times
-# that per build, so the cap is n = 5, at most 32 levels
+# (6 steps, grid 32) takes 0.32-0.40 s at a 75 MB peak RSS on a 2-core VM, about
+# half of it in build_discriminant, whose two dim^4 Grams are each D's size, and
+# half in Lanczos; at n = 6 (4096^2, 268 MB) one build takes 0.45-0.67 s and
+# peaks at 570 MB, about 15 times the time, so the cap is n = 5, at most 32 levels
 MAX_DOUBLED_DIM = 1024
 # make_grid spans [-norm_h, norm_h): widening the level-spacing width by a
 # quarter keeps the extreme transition frequencies off the aliased edge point
@@ -178,7 +183,9 @@ def metropolis_weights(grid: FrequencyGrid, beta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscriminantModel:
-    """Assembled discriminant matrix with its rates and the eigensystem of H."""
+    """Assembled discriminant matrix and the eigensystem of H.  d_matrix is D in
+    H's eigenbasis, indexed ((p, q), (p', q')): p, p' on the first copy, q, q'
+    on the second, so entry p * dim + q of a vector weighs |psi_p> |conj psi_q>."""
 
     hamiltonian: np.ndarray
     beta: float
@@ -249,7 +256,7 @@ def build_discriminant(
     times the smear at omega entrywise, so every sum over (a, omega) of a
     product of two entries is a sum over a times a sum over omega: the
     coherent term is the entrywise product of a J-wide and an M-wide Gram,
-    not one (J M)-wide Gram.  D is rotated to the computational basis once.
+    not one (J M)-wide Gram.  D is kept in that basis (see DiscriminantModel).
     """
     dim = hamiltonian.shape[0]
     _check_doubled_dim(dim)
@@ -284,27 +291,10 @@ def build_discriminant(
     diag = np.arange(dim)
     blocks[:, :, diag, diag] -= 0.5 * norm_term[:, :, None]
     blocks[diag, diag] -= 0.5 * norm_term.conj()
-    d_matrix = _to_computational_basis(d_tilde, evecs)
-    return DiscriminantModel(hamiltonian, beta, d_matrix, _hermiticity_defect(d_matrix), evals, evecs)
-
-
-def _to_computational_basis(d_tilde: np.ndarray, evecs: np.ndarray) -> np.ndarray:
-    """D = K Y K^dagger with K = kron(V, conj V) and Y[(p, q), (p', q')] =
-    d_tilde[(p, p'), (q, q')], the discriminant in H's eigenbasis.
-
-    Four mode products, each one GEMM or one batched matmul that contracts the
-    leading axis (of the whole array or of each batch) and appends the new index
-    last: (p, p', q, q') -> (p', q, q', i) -> (p', q', i, k) -> (q', i, k, j) ->
-    (i, k, j, l), which is D[(i, k), (j, l)].  They alternate between d_tilde's
-    buffer, which they overwrite and return, and one more of its size.
-    """
-    dim = len(evecs)
-    spare = np.empty_like(d_tilde)
-    np.matmul(d_tilde.reshape(dim, -1).T, evecs.T, out=spare.reshape(-1, dim))
-    np.matmul(spare.reshape(dim, dim, -1).transpose(0, 2, 1), evecs.conj().T, out=d_tilde.reshape(dim, -1, dim))
-    np.matmul(d_tilde.reshape(dim, -1).T, evecs.conj().T, out=spare.reshape(-1, dim))
-    np.matmul(spare.reshape(dim, -1).T, evecs.T, out=d_tilde.reshape(-1, dim))
-    return d_tilde
+    # reorder in place to ((p, q), (p', q')), one p-block of axes (p', q, q') at a time
+    for block in blocks:
+        block[...] = block.transpose(1, 0, 2).copy()
+    return DiscriminantModel(hamiltonian, beta, d_tilde, _hermiticity_defect(d_tilde), evals, evecs)
 
 
 def _hermiticity_defect(d_matrix: np.ndarray) -> float:
@@ -361,12 +351,15 @@ def _top_eigenpair(d_matrix: np.ndarray) -> tuple[float, np.ndarray]:
 def top_eigenvector(model: DiscriminantModel) -> tuple[float, StateVector, float]:
     """Dominant eigenpair of I + D and its fidelity to the purification.
 
-    Returns (top eigenvalue of I + D, eigenvector, squared overlap with the
-    canonical purification at the model's inverse temperature).
+    Returns (top eigenvalue of I + D, eigenvector rotated from H's eigenbasis to
+    the computational basis, squared overlap with the canonical purification at
+    the model's inverse temperature).
     """
     if (dim := len(model.hamiltonian)) & (dim - 1):
         raise ValueError(f"H has dimension {dim}, but the eigenvector's doubled register needs 2^q levels")
     val, vec = _top_eigenpair(model.d_matrix)
+    evecs = model.h_eigenvectors
+    vec = (evecs @ vec.reshape(dim, dim) @ evecs.conj().T).reshape(-1)
     return 1.0 + val, StateVector(vec), _fidelity(vec, model, model.beta)
 
 

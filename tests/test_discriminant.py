@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import heisenberg
 from thermaltda.complexes import CORPUS, random_complex
 from thermaltda.homology import combinatorial_laplacian
+from thermaltda.swaptest import sqrt_gibbs
 from thermaltda import discriminant
 from thermaltda.discriminant import (
     JumpSet,
@@ -218,9 +219,10 @@ class TestPadHamiltonian:
                 register_qubits(m)
 
 
-def kron_loop_discriminant(h, jumps, grid, window, beta):
+def kron_loop_discriminant(h, jumps, grid, window, beta, basis):
     """Reference assembly, one Kronecker product per jump and frequency, with
-    A(omega) summed directly over the time grid of Heisenberg-picture jumps."""
+    A(omega) summed directly over the time grid of Heisenberg-picture jumps
+    and rotated to basis^dagger A(omega) basis."""
     dim = h.shape[0]
     eye = np.eye(dim, dtype=complex)
     d_matrix = np.zeros((dim * dim, dim * dim), dtype=complex)
@@ -231,6 +233,7 @@ def kron_loop_discriminant(h, jumps, grid, window, beta):
                 f * np.exp(1j * omega * t) * a_t
                 for f, t, a_t in zip(window.weights, grid.times, evolved)
             ) / math.sqrt(grid.m_points)
+            a_w = basis.conj().T @ a_w @ basis
             rate = metropolis_weight(omega, beta)
             sym_rate = math.sqrt(rate * metropolis_weight(-omega, beta))
             decay_rate = sym_rate if idx == 0 else rate
@@ -248,7 +251,7 @@ class TestDiscriminant:
         grid = make_grid(bohr_coverage(h), m)
         win = gaussian_window(grid, default_sigma_t(beta, grid))
         model = build_discriminant(h, jumps, grid, win, beta)
-        expected = kron_loop_discriminant(h, jumps, grid, win, beta)
+        expected = kron_loop_discriminant(h, jumps, grid, win, beta, model.h_eigenvectors)
         assert np.abs(model.d_matrix - expected).max() <= 1e-12
 
     def test_hermitian_and_negative(self):
@@ -387,21 +390,28 @@ class TestRealForm:
         jumps = JumpSet([random_hermitian(rng, dim) for _ in range(n_jumps)])
         # the unit margin keeps the grid's span positive for a single level
         grid = make_grid(bohr_coverage(h) + 1.0, m)
-        model = build_discriminant(h, jumps, grid, gaussian_window(grid, default_sigma_t(beta, grid)), beta)
+        win = gaussian_window(grid, default_sigma_t(beta, grid))
+        model = build_discriminant(h, jumps, grid, win, beta)
         val, vec = _top_eigenpair(model.d_matrix)
         evals, evecs = np.linalg.eigh(model.d_matrix)
         assert abs(val - evals[-1]) <= 1e-12
-        if dim & (dim - 1) == 0:  # a power-of-two register: the public tuple
+        power_of_two = dim & (dim - 1) == 0
+        if power_of_two:  # the public tuple: the vector rotated to V X~ V^dagger
             top_val, state, fid = top_eigenvector(model)
             assert top_val == 1.0 + val
-            np.testing.assert_array_equal(state.amplitudes, vec)
+            v = model.h_eigenvectors
+            np.testing.assert_array_equal(state.amplitudes, (v @ vec.reshape(dim, dim) @ v.conj().T).reshape(-1))
         if dim > 1 and evals[-1] - evals[-2] <= 1e-6:
             return  # a near-degenerate top has no unique vector to compare
         top = evecs[:, -1]
         assert abs(np.vdot(top, vec)) ** 2 >= 1.0 - 1e-10
-        target = canonical_purification_vector(h, beta)
+        # the purification in H's eigenbasis: the Gibbs weights on the diagonal
+        target = sqrt_gibbs(model.h_eigenvalues, np.eye(dim), beta).reshape(-1)
         fid = abs(np.vdot(vec, target)) ** 2
         assert abs(fid - abs(np.vdot(top, target)) ** 2) <= 1e-10
+        if power_of_two:  # the public state against the computational-basis reference
+            reference = np.linalg.eigh(fourier_gram_discriminant(h, jumps, grid, win, beta, np.eye(dim)))[1][:, -1]
+            assert abs(np.vdot(reference, state.amplitudes)) ** 2 >= 1.0 - 1e-10
 
     @pytest.mark.parametrize(
         "complex_name,beta", [("octahedron", 0.0), ("octahedron", 1.0), ("octahedron", 3.0), ("dim32", 1.0)]
@@ -442,12 +452,14 @@ class TestRealForm:
         assert rows and max(rows) < 256
 
 
-def fourier_gram_discriminant(h, jumps, grid, window, beta):
-    """Reference assembly from the operator_fourier components: the Gram of every
-    rated vec A_a(omega) at ((i, j), (k, l)), reordered to kron(A, conj A)'s
-    ((i, k), (j, l)), minus the decay term."""
+def fourier_gram_discriminant(h, jumps, grid, window, beta, basis):
+    """Reference assembly from the operator_fourier components, each rotated to
+    basis^dagger A_a(omega) basis: the Gram of every rated vec A_a(omega) at
+    ((i, j), (k, l)), reordered to kron(A, conj A)'s ((i, k), (j, l)), minus
+    the decay term."""
     dim = h.shape[0]
     comps = np.array([list(operator_fourier(op, h, grid, window).values()) for op in jumps.operators])
+    comps = basis.conj().T @ comps @ basis
     rates = np.array([metropolis_weight(w, beta) for w in grid.omegas])
     sym_rates = np.sqrt(rates * np.array([metropolis_weight(-w, beta) for w in grid.omegas]))
     decay_rates = np.concatenate([sym_rates[:1], rates[1:]])
@@ -462,7 +474,8 @@ def fourier_gram_discriminant(h, jumps, grid, window, beta):
 
 class TestFactorisedBuild:
     """build_discriminant forms D in H's eigenbasis from a J-wide and an M-wide
-    Gram and rotates it back; it must match the J*M-wide Gram of the components."""
+    Gram and keeps it there; it must match the J*M-wide Gram of the components
+    rotated to that basis."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -480,7 +493,7 @@ class TestFactorisedBuild:
         grid = make_grid(bohr_coverage(h) + 1.0, m)
         win = gaussian_window(grid, default_sigma_t(beta, grid))
         model = build_discriminant(h, jumps, grid, win, beta)
-        expected = fourier_gram_discriminant(h, jumps, grid, win, beta)
+        expected = fourier_gram_discriminant(h, jumps, grid, win, beta, model.h_eigenvectors)
         assert np.abs(model.d_matrix - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("m", [32, 128])
@@ -492,7 +505,8 @@ class TestFactorisedBuild:
         win = gaussian_window(grid, default_sigma_t(1.0, grid))
         model = build_discriminant(h, jumps, grid, win, 1.0)
         assert model.d_matrix.shape == (1024, 1024)
-        assert np.abs(model.d_matrix - fourier_gram_discriminant(h, jumps, grid, win, 1.0)).max() <= 1e-12
+        expected = fourier_gram_discriminant(h, jumps, grid, win, 1.0, model.h_eigenvectors)
+        assert np.abs(model.d_matrix - expected).max() <= 1e-12
         # the strip-wise defect is the same float as the whole matrix's
         assert model.hermiticity_defect == np.abs(model.d_matrix - model.d_matrix.conj().T).max()
 
