@@ -25,7 +25,7 @@ from .complexes import (
     random_complex,
     METRICS,
 )
-from .discriminant import annealing_path, pad_hamiltonian, pauli_jumps, register_qubits
+from .discriminant import annealing_path, cut_pauli_jumps
 from .homology import (
     ZeroSpectrumError,
     betti_exact_kernel,
@@ -279,24 +279,24 @@ def cmd_scaling(n, ks, instances, criterion, edge_prob_lo, edge_prob_hi, seed, o
 @click.option("--corpus", "corpus_name", type=click.Choice(sorted(CORPUS)), default=None)
 @click.option("--k", type=click.IntRange(min=0), required=True)
 @click.option("--beta", type=BETA, default=1.0, show_default=True, help="target inverse temperature")
-# the smear's M x M phase matrix and its M x dim^2 Gram factor take 16 MB each at
-# the cap, where a default dim-32 run takes 2.0-2.2 s at a 139 MB peak RSS (2-core VM)
+# the smear's M x M phase matrix and its M x m^2 Gram factor take 16 MB each at
+# the cap, where a default 32-level run takes 2.4-2.7 s at a 138 MB peak RSS (2-core VM)
 @click.option("--grid-m", type=click.IntRange(min=4, max=1024), default=32, show_default=True)
-# each step is a full discriminant build and Lanczos solve, about 0.06 s at dim 32
-# (0.08 s at grid 128), where a default run (6 steps) peaks at 75 MB RSS
+# each step is a full discriminant build and Lanczos solve, about 0.06 s at 32 levels
+# (0.07-0.10 s at grid 128), where a default run (6 steps) peaks at 75 MB RSS
 @click.option("--steps", type=click.IntRange(min=1, max=1_000), default=5, show_default=True,
               help="annealing steps after beta=0")
 @click.option("--out", "out_path", required=True, type=click.Path())
 def cmd_discriminant_check(input_path, corpus_name, k, beta, grid_m, steps, out_path):
     """Anneal the discriminant's top eigenvector toward the purification."""
     cx = _read_complex(input_path, corpus_name)
-    jumps = pauli_jumps(register_qubits(cx.num_simplices(k)))
-    padded = pad_hamiltonian(combinatorial_laplacian(cx, k))
-    # padding adds a level unless the Laplacian fills the register
-    if not np.any(padded - padded[0, 0] * np.eye(len(padded))):
+    # over the cap this raises on the simplex count, before any Laplacian is built
+    jumps = cut_pauli_jumps(cx.num_simplices(k))
+    laplacian = combinatorial_laplacian(cx, k)
+    if not np.any(laplacian - laplacian[0, 0] * np.eye(len(laplacian))):
         raise ValueError(f"the {k}-Laplacian has a single level, so there is no transition frequency to resolve")
     schedule = [beta * i / steps for i in range(steps + 1)] if beta > 0 else [0.0]
-    report = annealing_path(padded, jumps, grid_m, schedule)
+    report = annealing_path(laplacian.astype(complex), jumps, grid_m, schedule)
     _write_json({"grid_m": grid_m, "beta_target": beta, **asdict(report), "meta": _meta()}, out_path)
 
 

@@ -29,6 +29,16 @@ units (e_ii, (e_ik + e_ki)/sqrt 2 and i(e_ik - e_ki)/sqrt 2 for i < k) it is the
 real symmetric R = U^dagger D U, which has D's spectrum and, through U, its
 eigenvectors: Lanczos on D from a generic Hermitian start is exact Lanczos on R
 (from vec(I) it can stay in one symmetry sector).
+
+Levels: discriminant-check builds D on the Laplacian's own m levels, H = L, with
+the 3n single-site Paulis of the n = ceil(log2 m)-qubit register cut to their
+top-left m x m block P A P (cut_pauli_jumps).  That is a choice of classical
+simulation, not the paper's qubit register: the cut Paulis are not unitary, so
+sum_a A_a^dagger A_a != I and the completeness identity of pauli_jumps does not
+hold for them.  Criterion 6 keeps the padded route, pad_hamiltonian with
+pauli_jumps on the full register.  top_eigenvector embeds the m x m eigenvector
+into the register's doubled space, with zeros on the unused levels, so that it
+is a state of the register.
 """
 
 from __future__ import annotations
@@ -40,11 +50,11 @@ import numpy as np
 
 from .swaptest import StateVector, sqrt_gibbs
 
-# D is (2^n)^2 x (2^n)^2: at n = 5 (1024^2, 17 MB) a default discriminant-check
-# (6 steps, grid 32) takes 0.32-0.40 s at a 75 MB peak RSS on a 2-core VM, about
-# half of it in build_discriminant, whose two dim^4 Grams are each D's size, and
-# half in Lanczos; at n = 6 (4096^2, 268 MB) one build takes 0.45-0.67 s and
-# peaks at 570 MB, about 15 times the time, so the cap is n = 5, at most 32 levels
+# D is m^2 x m^2 for m levels: at m = 32 (1024^2, 17 MB) a default discriminant-check
+# (6 steps, grid 32) takes 0.32-0.38 s at a 75 MB peak RSS on a 2-core VM, and at
+# m = 26 (676^2) 0.19-0.24 s at 56 MB; build_discriminant's two m^4 Grams are each
+# D's size, so at m = 64 (4096^2, 268 MB) one build takes 0.48-0.72 s and peaks at
+# 560 MB: the cap is 32 levels
 MAX_DOUBLED_DIM = 1024
 # make_grid spans [-norm_h, norm_h): widening the level-spacing width by a
 # quarter keeps the extreme transition frequencies off the aliased edge point
@@ -217,6 +227,15 @@ def register_qubits(m: int) -> int:
     return n_qubits
 
 
+def cut_pauli_jumps(m: int) -> JumpSet:
+    """The 3n single-site Paulis of the register of ``register_qubits(m)``, each
+    cut to its top-left m x m block P A P, so that they act on m levels alone.
+
+    Raises ValueError, as register_qubits does, if m is over the cap.
+    """
+    return JumpSet(operators=[op[:m, :m] for op in pauli_jumps(register_qubits(m)).operators])
+
+
 def pad_hamiltonian(laplacian: np.ndarray) -> np.ndarray:
     """Embed a Laplacian block into the register of ``register_qubits``.
 
@@ -351,16 +370,19 @@ def _top_eigenpair(d_matrix: np.ndarray) -> tuple[float, np.ndarray]:
 def top_eigenvector(model: DiscriminantModel) -> tuple[float, StateVector, float]:
     """Dominant eigenpair of I + D and its fidelity to the purification.
 
-    Returns (top eigenvalue of I + D, eigenvector rotated from H's eigenbasis to
+    Returns (top eigenvalue of I + D, eigenvector X rotated from H's eigenbasis to
     the computational basis, squared overlap with the canonical purification at
-    the model's inverse temperature).
+    the model's inverse temperature).  For a dimension m that is not a power of
+    two, X (m x m) sits in the top-left block of the doubled space of the
+    2^ceil(log2 m) register, with zeros on the unused levels.
     """
-    if (dim := len(model.hamiltonian)) & (dim - 1):
-        raise ValueError(f"H has dimension {dim}, but the eigenvector's doubled register needs 2^q levels")
+    dim = len(model.hamiltonian)
     val, vec = _top_eigenpair(model.d_matrix)
     evecs = model.h_eigenvectors
-    vec = (evecs @ vec.reshape(dim, dim) @ evecs.conj().T).reshape(-1)
-    return 1.0 + val, StateVector(vec), _fidelity(vec, model, model.beta)
+    x = evecs @ vec.reshape(dim, dim) @ evecs.conj().T
+    fid = _fidelity(x.reshape(-1), model, model.beta)
+    x = np.pad(x, (0, (1 << (dim - 1).bit_length()) - dim))
+    return 1.0 + val, StateVector(x.reshape(-1)), fid
 
 
 @dataclass(frozen=True)
@@ -399,6 +421,7 @@ def annealing_path(
     betas = [float(b) for b in betas]
     if not betas or betas[0] != 0.0 or any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("schedule must start at 0 and strictly increase")
+    dim = len(hamiltonian)
     grid = make_grid(bohr_coverage(hamiltonian), m_points)
     steps: list[AnnealingStep] = []
     prev_vec = None
@@ -406,7 +429,8 @@ def annealing_path(
         window = gaussian_window(grid, default_sigma_t(beta, grid))
         model = build_discriminant(hamiltonian, jumps, grid, window, beta)
         top_val, state, fid = top_eigenvector(model)
-        fid_half = _fidelity(state.amplitudes, model, beta / 2.0)
+        reg = math.isqrt(state.amplitudes.size)
+        fid_half = _fidelity(state.amplitudes.reshape(reg, reg)[:dim, :dim].reshape(-1), model, beta / 2.0)
         overlap = (
             None
             if prev_vec is None

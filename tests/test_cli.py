@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import thermaltda
 from thermaltda.cli import main
-from thermaltda.complexes import SimplicialComplex, build_clique_complex, load_point_cloud, random_complex
+from thermaltda.complexes import CORPUS, SimplicialComplex, build_clique_complex, load_point_cloud, random_complex
+from thermaltda.discriminant import annealing_path, pad_hamiltonian, pauli_jumps
+from thermaltda.homology import combinatorial_laplacian
 
 
 @pytest.fixture
@@ -374,7 +377,7 @@ class TestDiscriminantCheck:
         assert len(data["steps"]) == 1 and data["steps"][0]["fidelity"] >= 0.99
 
     def test_octahedron_vertices_within_cap(self, runner, tmp_path):
-        # 6 vertices pad to 8 dims, a 64x64 discriminant: comfortably inside
+        # 6 vertices, so 6 levels and a 36 x 36 discriminant: comfortably inside
         out = tmp_path / "report.json"
         result = invoke(
             runner, "discriminant-check", "--corpus", "octahedron-boundary", "--k", 0,
@@ -383,19 +386,41 @@ class TestDiscriminantCheck:
         assert result.exit_code == 0
         assert json.loads(out.read_text())["steps"][0]["fidelity"] >= 0.99
 
-    def test_single_simplex_real_form(self, runner, tmp_path):
-        # one 2-simplex: one qubit, a 4 x 4 D whose real form has a single
-        # off-diagonal pair of Hermitian units
+    def test_two_level_real_form(self, runner, tmp_path):
+        # two edges that share a vertex: L_1 has the levels 1 and 3, one qubit, a
+        # 4 x 4 D whose real form has a single off-diagonal pair of Hermitian units
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps({"n_vertices": 3, "simplices": {"0": [[0], [1], [2]], "1": [[0, 1], [1, 2]]}}))
         out = tmp_path / "report.json"
-        result = invoke(
-            runner, "discriminant-check", "--corpus", "filled-triangle", "--k", 2,
-            "--steps", 2, "--out", out,
-        )
+        result = invoke(runner, "discriminant-check", "--input", path, "--k", 1, "--steps", 2, "--out", out)
         assert result.exit_code == 0, result.output
         steps = json.loads(out.read_text())["steps"]
         assert len(steps) == 3
         assert all(s["top_eigenvalue"] <= 1.0 + 1e-8 for s in steps)
         assert steps[0]["fidelity"] >= 0.99
+
+    def test_power_of_two_levels_match_the_padded_route(self, runner, tmp_path):
+        # 4 triangles fill a 2-qubit register: no level is cut or padded, so the
+        # record is the one annealing_path gives on pad_hamiltonian and pauli_jumps
+        out = tmp_path / "report.json"
+        result = invoke(runner, "discriminant-check", "--corpus", "tetrahedron-boundary", "--k", 2, "--out", out)
+        assert result.exit_code == 0, result.output
+        record = json.loads(out.read_text())
+        del record["meta"]
+        laplacian = combinatorial_laplacian(CORPUS["tetrahedron-boundary"](), 2)
+        report = annealing_path(pad_hamiltonian(laplacian), pauli_jumps(2), 32, [i / 5 for i in range(6)])
+        expected = {"grid_m": 32, "beta_target": 1.0, **asdict(report)}
+        assert json.dumps(record, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    def test_default_octahedron_edges(self, runner, tmp_path):
+        # 12 edges, 12 levels of a 16-level register: the top eigenvalue of I + D stays at
+        # most 1 and the default schedule ends on the purification
+        out = tmp_path / "report.json"
+        result = invoke(runner, "discriminant-check", "--corpus", "octahedron-boundary", "--k", 1, "--out", out)
+        assert result.exit_code == 0, result.output
+        record = json.loads(out.read_text())
+        assert all(s["top_eigenvalue"] <= 1.0 + 1e-8 for s in record["steps"])
+        assert record["final_fidelity"] >= 0.99
 
     def test_dimension_cap_enforced(self, runner, tmp_path, monkeypatch):
         cx_path = tmp_path / "big.json"
@@ -482,7 +507,7 @@ class TestBadInput:
             (*THERMAL, "--guard", 0.5),
             (*THERMAL, "--guard", -0.5),
             (*THERMAL, "--guard", "nan"),
-            # 33 levels pad to 64: a 4096-dim discriminant, over the cap of 1024
+            # 33 levels: a 1089-dim discriminant, over the cap of 1024 (32 levels)
             ("discriminant-check", "--input", ComplexFile(json.dumps(
                 {"n_vertices": 33, "simplices": {"0": [[v] for v in range(33)]}})), "--k", 0, "--out", "OUT"),
             # zero Laplacian of power-of-two size: no level spacing for the frequency grid
@@ -583,6 +608,19 @@ class TestBadInput:
         assert result.exit_code == 2, result.output
         assert "Error: the 1-Laplacian has a single level, so there is no transition frequency" in result.output
         assert not out.exists()
+
+    def test_single_level_of_any_size_exits_2(self, runner, tmp_path):
+        """One triangle (m = 1) and three disjoint edges (L_1 = 2 I on 3 levels):
+        a single level, whether or not m is a power of two."""
+        path = tmp_path / "edges.json"
+        path.write_text(json.dumps({"n_vertices": 6, "simplices": {
+            "0": [[v] for v in range(6)], "1": [[0, 1], [2, 3], [4, 5]]}}))
+        for args, k in ((("--corpus", "filled-triangle"), 2), (("--input", path), 1)):
+            out = tmp_path / "out"
+            result = invoke(runner, "discriminant-check", *args, "--k", k, "--out", out)
+            assert result.exit_code == 2, result.output
+            assert f"Error: the {k}-Laplacian has a single level, so there is no transition" in result.output
+            assert not out.exists()
 
     @pytest.mark.parametrize("error", [np.linalg.LinAlgError, OverflowError])
     def test_exits_3(self, runner, monkeypatch, error):

@@ -8,7 +8,6 @@ from conftest import heisenberg
 from thermaltda.complexes import CORPUS, random_complex
 from thermaltda.homology import combinatorial_laplacian
 from thermaltda.swaptest import sqrt_gibbs
-from thermaltda import discriminant
 from thermaltda.discriminant import (
     JumpSet,
     _top_eigenpair,
@@ -16,6 +15,7 @@ from thermaltda.discriminant import (
     bohr_coverage,
     build_discriminant,
     canonical_purification_vector,
+    cut_pauli_jumps,
     default_sigma_t,
     gaussian_window,
     make_grid,
@@ -294,14 +294,23 @@ class TestDiscriminant:
 
 
 class TestTopEigenvector:
-    def test_rejects_a_non_power_of_two_register(self, monkeypatch):
+    def test_embeds_a_non_power_of_two_register(self):
+        # 3 levels: X (3 x 3) in the top-left block of the 2-qubit register's
+        # 4 x 4 doubled space, zeros on the unused level
         rng = np.random.default_rng(0)
         grid = make_grid(bohr_coverage(HOLLOW_L1), 16)
         jumps = JumpSet([random_hermitian(rng, 3)])
         model = build_discriminant(HOLLOW_L1.astype(complex), jumps, grid, flat_window(grid), 1.0)
-        monkeypatch.setattr(discriminant, "_top_eigenpair", lambda d: pytest.fail("solved"))
-        with pytest.raises(ValueError, match=r"dimension 3, .* needs 2\^q levels"):
-            top_eigenvector(model)
+        top_val, state, fid = top_eigenvector(model)
+        val, vec = _top_eigenpair(model.d_matrix)
+        v = model.h_eigenvectors
+        x = v @ vec.reshape(3, 3) @ v.conj().T
+        amps = state.amplitudes.reshape(4, 4)
+        assert top_val == 1.0 + val and state.n_qubits == 4
+        np.testing.assert_array_equal(amps[:3, :3], x)
+        assert not amps[3].any() and not amps[:, 3].any()
+        target = sqrt_gibbs(model.h_eigenvalues, v, 1.0).reshape(-1)
+        assert fid == abs(np.vdot(x.reshape(-1), target)) ** 2
 
     def test_single_qubit_default_window_high_fidelity(self):
         jumps = pauli_jumps(1)
@@ -336,11 +345,12 @@ OCTAHEDRON = CORPUS["octahedron-boundary"]()
 
 
 def cli_scale_model(cx, beta):
-    """The model a default discriminant-check at k = 1 builds at beta: padded H, grid 32."""
-    h = pad_hamiltonian(combinatorial_laplacian(cx, 1))
+    """The model a default discriminant-check at k = 1 builds at beta: H = L on
+    its m levels, the register's Paulis cut to m x m, grid 32."""
+    h = combinatorial_laplacian(cx, 1).astype(complex)
     grid = make_grid(bohr_coverage(h), 32)
     win = gaussian_window(grid, default_sigma_t(beta, grid))
-    return build_discriminant(h, pauli_jumps(int(math.log2(h.shape[0]))), grid, win, beta)
+    return build_discriminant(h, cut_pauli_jumps(len(h)), grid, win, beta)
 
 
 def copy_swap(dim):
@@ -414,11 +424,16 @@ class TestRealForm:
             assert abs(np.vdot(reference, state.amplitudes)) ** 2 >= 1.0 - 1e-10
 
     @pytest.mark.parametrize(
-        "complex_name,beta", [("octahedron", 0.0), ("octahedron", 1.0), ("octahedron", 3.0), ("dim32", 1.0)]
+        "complex_name,beta",
+        [("octahedron", 0.0), ("octahedron", 1.0), ("octahedron", 3.0), ("dim32", 1.0), ("cap", 1.0)],
     )
     def test_matches_complex_eigh_at_cli_scale(self, complex_name, beta):
-        # dim32: 26 edges, so a 32-level register and a 1024 x 1024 D, the cap
-        cx = OCTAHEDRON if complex_name == "octahedron" else random_complex(9, 0.55, 2, 8)
+        # dim32: 26 edges, so a 26-level H and a 676 x 676 D; cap: 32 edges, a 1024 x 1024 D
+        cx = {
+            "octahedron": lambda: OCTAHEDRON,
+            "dim32": lambda: random_complex(9, 0.55, 2, 8),
+            "cap": lambda: random_complex(9, 0.8, 2, 8),
+        }[complex_name]()
         d = cli_scale_model(cx, beta).d_matrix
         val, vec = _top_eigenpair(d)
         evals, evecs = np.linalg.eigh(d)
@@ -438,7 +453,7 @@ class TestRealForm:
         # the eigensolves inside top_eigenvector are of the small Lanczos
         # matrix, never of the d^2 x d^2 D or its real form
         model = cli_scale_model(OCTAHEDRON, 1.0)
-        assert model.d_matrix.shape == (256, 256)
+        assert model.d_matrix.shape == (144, 144)
         rows = []
         for name in ("eigh", "eigvalsh"):
             solve = getattr(np.linalg, name)
@@ -449,7 +464,7 @@ class TestRealForm:
 
             monkeypatch.setattr(np.linalg, name, spy)
         top_eigenvector(model)
-        assert rows and max(rows) < 256
+        assert rows and max(rows) < 144
 
 
 def fourier_gram_discriminant(h, jumps, grid, window, beta, basis):
