@@ -280,10 +280,11 @@ def cmd_scaling(n, ks, instances, criterion, edge_prob_lo, edge_prob_hi, seed, o
 @click.option("--k", type=click.IntRange(min=0), required=True)
 @click.option("--beta", type=BETA, default=1.0, show_default=True, help="target inverse temperature")
 # the smear's M x M phase matrix and its M x m^2 Gram factor take 16 MB each at
-# the cap, where a default 32-level run takes 2.4-2.7 s at a 138 MB peak RSS (2-core VM)
+# the cap, where a default 32-level run takes 1.9-2.1 s at a 123 MB peak RSS (2-core VM)
 @click.option("--grid-m", type=click.IntRange(min=4, max=1024), default=32, show_default=True)
-# each step is a full discriminant build and Lanczos solve, about 0.06 s at 32 levels
-# (0.07-0.10 s at grid 128), where a default run (6 steps) peaks at 75 MB RSS
+# each step is a full discriminant build and a Lanczos solve warm-started from the
+# step before, about 0.04 s at 32 levels (0.05-0.07 s at grid 128), where a default
+# run (6 steps) peaks at 60 MB RSS (66 MB at grid 128)
 @click.option("--steps", type=click.IntRange(min=1, max=1_000), default=5, show_default=True,
               help="annealing steps after beta=0")
 @click.option("--out", "out_path", required=True, type=click.Path())

@@ -45,16 +45,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .swaptest import StateVector, sqrt_gibbs
 
 # D is m^2 x m^2 for m levels: at m = 32 (1024^2, 17 MB) a default discriminant-check
-# (6 steps, grid 32) takes 0.32-0.38 s at a 75 MB peak RSS on a 2-core VM, and at
-# m = 26 (676^2) 0.19-0.24 s at 56 MB; build_discriminant's two m^4 Grams are each
-# D's size, so at m = 64 (4096^2, 268 MB) one build takes 0.48-0.72 s and peaks at
-# 560 MB: the cap is 32 levels
+# (6 steps, grid 32) takes 0.25-0.27 s at a 60 MB peak RSS on a 2-core VM, and at
+# m = 26 (676^2) 0.15 s at 50 MB; build_discriminant holds D and no other array of
+# its size, so at m = 64 (4096^2, 268 MB) one build takes 0.29-0.34 s and peaks at
+# 311 MB, and a default run 4.5 s at 316 MB: the cap is 32 levels
 MAX_DOUBLED_DIM = 1024
 # make_grid spans [-norm_h, norm_h): widening the level-spacing width by a
 # quarter keeps the extreme transition frequencies off the aliased edge point
@@ -200,9 +201,13 @@ class DiscriminantModel:
     hamiltonian: np.ndarray
     beta: float
     d_matrix: np.ndarray
-    hermiticity_defect: float
     h_eigenvalues: np.ndarray  # eigensystem of the Hamiltonian, reused downstream
     h_eigenvectors: np.ndarray
+
+    @cached_property
+    def hermiticity_defect(self) -> float:
+        """max |D - D^dagger|, taken on first read: the annealing path never reads it."""
+        return _hermiticity_defect(self.d_matrix)
 
 
 def _check_doubled_dim(dim: int) -> None:
@@ -302,9 +307,10 @@ def build_discriminant(
     flat = in_basis.reshape(len(in_basis), -1)
     d_tilde = flat.T @ flat.conj()
     smear = smear.reshape(grid.m_points, -1)
-    gram = (smear.T * (sym_rates * scale)) @ smear.conj()
-    d_tilde *= gram
-    del gram
+    rated, smear_conj = smear.T * (sym_rates * scale), smear.conj()
+    # the M-wide Gram by blocks of rows, so that D is the only array of its size
+    for i in range(0, len(d_tilde), 128):
+        d_tilde[i : i + 128] *= rated[i : i + 128] @ smear_conj
     # N x I puts N[p, p'] on the q = q' entries, I x conj(N) conj(N)[q, q'] on p = p'
     blocks = d_tilde.reshape((dim,) * 4)
     diag = np.arange(dim)
@@ -313,7 +319,7 @@ def build_discriminant(
     # reorder in place to ((p, q), (p', q')), one p-block of axes (p', q, q') at a time
     for block in blocks:
         block[...] = block.transpose(1, 0, 2).copy()
-    return DiscriminantModel(hamiltonian, beta, d_tilde, _hermiticity_defect(d_tilde), evals, evecs)
+    return DiscriminantModel(hamiltonian, beta, d_tilde, evals, evecs)
 
 
 def _hermiticity_defect(d_matrix: np.ndarray) -> float:
@@ -340,12 +346,28 @@ def _fidelity(vec: np.ndarray, model: DiscriminantModel, beta: float) -> float:
     return float(abs(np.vdot(vec, target)) ** 2)
 
 
-def _top_eigenpair(d_matrix: np.ndarray) -> tuple[float, np.ndarray]:
-    """Top eigenvalue and unit eigenvector of D by Lanczos (Paige 1971) on its real form, from a
-    fixed random Hermitian start, until beta_j |s_j| <= 1e-12 max |theta| within dim^2 steps."""
+def _top_eigenpair(d_matrix: np.ndarray, *, start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Top eigenvalue and unit eigenvector of D by Lanczos (Paige 1971) on its real form.
+
+    The start is a fixed random Hermitian matrix, or, given ``start`` (a vector in
+    H's eigenbasis, such as the previous annealing point's eigenvector), that vector
+    plus 1e-3 of the random one, each normalised, made Hermitian: the random part
+    keeps it out of any one symmetry sector (vec(I) alone can sit in one).  The
+    Ritz pair is tested against beta_j |s_j| <= 1e-12 max |theta| after every
+    second step, after step dim^2 and after a step that exhausts the Krylov space
+    (beta_j = 0), so the returned pair always meets that rule, at most one step
+    past the first that does.  The tridiagonal eigh behind the test costs more than
+    the product with D: on a default octahedron discriminant-check (12 levels, grid
+    32) the six warm-started solves make 64 eighs in 128 steps and take 8.3-8.6 ms,
+    where cold starts tested at every step made 148 of each and took 11.5-11.8 ms.
+    """
     n, dim = len(d_matrix), math.isqrt(len(d_matrix))
     re, im = np.random.default_rng(0).normal(size=(2, dim, dim))
-    w = (re + re.T + 1j * (im - im.T)).view(float).reshape(-1)
+    w = re + re.T + 1j * (im - im.T)
+    if start is not None:
+        w = start.reshape(dim, dim) / np.linalg.norm(start) + 1e-3 * w / np.linalg.norm(w)
+        w = (w + w.conj().T) / 2
+    w = w.view(float).reshape(-1)
     # Krylov vectors as rows of float views, whose dot products are the real
     # form's inner products; pages are touched only as rows are written
     rows = np.empty((n, 2 * n))
@@ -361,23 +383,30 @@ def _top_eigenpair(d_matrix: np.ndarray) -> tuple[float, np.ndarray]:
         for _ in range(2):  # full reorthogonalisation, twice
             w -= (rows[: j + 1] @ w) @ rows[: j + 1]
         beta = t[j, j + 1] = t[j + 1, j] = np.linalg.norm(w)
+        # the test schedule of the docstring; at beta = 0 the next step's w / beta
+        # would divide by zero
+        if j % 2 == 0 and j + 1 < n and beta > 0.0:
+            continue
         thetas, s = np.linalg.eigh(t[: j + 1, : j + 1])
         if beta * abs(s[-1, -1]) <= 1e-12 * np.abs(thetas).max():
             return float(thetas[-1]), (s[:, -1] @ rows[: j + 1]).view(complex)
     raise ArithmeticError(f"Lanczos on the discriminant missed its residual tolerance in {n} steps")
 
 
-def top_eigenvector(model: DiscriminantModel) -> tuple[float, StateVector, float]:
+def top_eigenvector(
+    model: DiscriminantModel, *, start: np.ndarray | None = None
+) -> tuple[float, StateVector, float]:
     """Dominant eigenpair of I + D and its fidelity to the purification.
 
     Returns (top eigenvalue of I + D, eigenvector X rotated from H's eigenbasis to
     the computational basis, squared overlap with the canonical purification at
     the model's inverse temperature).  For a dimension m that is not a power of
     two, X (m x m) sits in the top-left block of the doubled space of the
-    2^ceil(log2 m) register, with zeros on the unused levels.
+    2^ceil(log2 m) register, with zeros on the unused levels.  ``start``, a
+    vector in H's eigenbasis, warm-starts the Lanczos run (see _top_eigenpair).
     """
     dim = len(model.hamiltonian)
-    val, vec = _top_eigenpair(model.d_matrix)
+    val, vec = _top_eigenpair(model.d_matrix, start=start)
     evecs = model.h_eigenvectors
     x = evecs @ vec.reshape(dim, dim) @ evecs.conj().T
     fid = _fidelity(x.reshape(-1), model, model.beta)
@@ -417,6 +446,11 @@ def annealing_path(
     adiabaticity proxy; the endpoint fidelity matches a direct build at the final beta,
     each step being solved to a 1e-12 residual.  The purification fidelity is recorded
     at beta and at beta/2 (the two normalization readings of the target).
+
+    H, and so its eigenbasis V, is the same at every point, so each point's Lanczos
+    run starts from the previous point's eigenvector X~ = V^dagger X V: on the
+    default 6-point schedule of the octahedron's 12 edge levels at grid 32 the six
+    solves take 128 Lanczos steps where cold starts take 148.
     """
     betas = [float(b) for b in betas]
     if not betas or betas[0] != 0.0 or any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
@@ -424,13 +458,16 @@ def annealing_path(
     dim = len(hamiltonian)
     grid = make_grid(bohr_coverage(hamiltonian), m_points)
     steps: list[AnnealingStep] = []
-    prev_vec = None
+    prev_vec = start = None
     for beta in betas:
         window = gaussian_window(grid, default_sigma_t(beta, grid))
         model = build_discriminant(hamiltonian, jumps, grid, window, beta)
-        top_val, state, fid = top_eigenvector(model)
+        top_val, state, fid = top_eigenvector(model, start=start)
         reg = math.isqrt(state.amplitudes.size)
-        fid_half = _fidelity(state.amplitudes.reshape(reg, reg)[:dim, :dim].reshape(-1), model, beta / 2.0)
+        x = state.amplitudes.reshape(reg, reg)[:dim, :dim]
+        fid_half = _fidelity(x.reshape(-1), model, beta / 2.0)
+        evecs = model.h_eigenvectors
+        start = evecs.conj().T @ x @ evecs
         overlap = (
             None
             if prev_vec is None
@@ -447,7 +484,7 @@ def annealing_path(
             )
         )
         prev_vec = state.amplitudes
-        # freed before the next build, which would hold this D beside its own two
+        # freed before the next build, which would hold this D beside its own
         del model
     overlaps = [s.overlap_prev for s in steps if s.overlap_prev is not None]
     return AnnealingReport(

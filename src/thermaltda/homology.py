@@ -34,8 +34,12 @@ KERNEL_TOL_FACTOR = 1e-8
 # only torsion of an order divisible by PRIME can make one fall below the
 # rational rank
 PRIME = 2**31 - 1
-# a dense float64 Laplacian at the cap is 8192^2 * 8 B = 537 MB; the cap is
-# 2.1x the m = 3841 of the k = 3 Laplacian of random_complex(40, 0.6, 4, 1)
+# a query's largest array is a boundary's smaller Gram, at most m x m, and eigvalsh
+# copies it, so the peak is about twice its size: at m = 6,553 (random_complex(36,
+# 0.7, 4, 7), k = 3, a 344 MB Gram) a betti query took 20.6 s (exact) and 18.7 s
+# (thermal) at a 693 MB peak RSS on a 2-core VM, which by m^3 and m^2 puts the cap
+# near 40 s and 1.1 GB (an estimate); the cap is 2.1x the m = 3841 of the k = 3
+# Laplacian of random_complex(40, 0.6, 4, 1)
 MAX_LAPLACIAN_DIM = 8_192
 
 

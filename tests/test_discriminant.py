@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import heisenberg
 from thermaltda.complexes import CORPUS, random_complex
 from thermaltda.homology import combinatorial_laplacian
+from thermaltda import discriminant
 from thermaltda.swaptest import sqrt_gibbs
 from thermaltda.discriminant import (
     JumpSet,
@@ -363,6 +365,19 @@ def random_hermitian(rng, dim):
     return a + a.conj().T
 
 
+def hermitian_units(dim):
+    """Columns vec(e_ii), vec(e_ik + e_ki)/sqrt 2 and vec(i(e_ik - e_ki))/sqrt 2, i < k:
+    an orthonormal basis of the doubled space whose real span is the Hermitian matrices."""
+    cols = []
+    for i in range(dim):
+        for k in range(i, dim):
+            for phase in ((1.0,) if i == k else (1.0, 1j)):
+                unit = np.zeros((dim, dim), dtype=complex)
+                unit[i, k], unit[k, i] = phase, np.conj(phase)
+                cols.append(unit.reshape(-1) / np.linalg.norm(unit))
+    return np.array(cols).T
+
+
 class TestRealForm:
     """D[S p, S q] = conj(D[p, q]) makes D real in the basis of Hermitian matrix
     units; Lanczos from a Hermitian start runs in that real form, and must
@@ -435,19 +450,55 @@ class TestRealForm:
             "cap": lambda: random_complex(9, 0.8, 2, 8),
         }[complex_name]()
         d = cli_scale_model(cx, beta).d_matrix
-        val, vec = _top_eigenpair(d)
         evals, evecs = np.linalg.eigh(d)
-        assert abs(val - evals[-1]) <= 1e-12
-        assert abs(np.vdot(evecs[:, -1], vec)) ** 2 >= 1.0 - 1e-10
-        assert np.linalg.norm(d @ vec - val * vec) <= 1e-10
+        # cold, and warm from the top vector of a neighbouring beta, as annealing_path starts
+        neighbour = _top_eigenpair(cli_scale_model(cx, beta + 0.2).d_matrix)[1]
+        for start in (None, neighbour):
+            val, vec = _top_eigenpair(d, start=start)
+            assert abs(val - evals[-1]) <= 1e-12
+            assert abs(np.vdot(evecs[:, -1], vec)) ** 2 >= 1.0 - 1e-10
+            assert np.linalg.norm(d @ vec - val * vec) <= 1e-10
 
     def test_escapes_the_identity_sector(self):
         # D = -I + 2 u u^dagger with u = vec(Z)/sqrt 2, orthogonal to vec(I): a
         # start from vec(I) stays in the -1 eigenspace and would report -1
         u = Z.reshape(-1) / math.sqrt(2.0)
-        val, vec = _top_eigenpair(-np.eye(4) + 2.0 * np.outer(u, u.conj()))
-        assert abs(val - 1.0) <= 1e-12
-        assert abs(np.vdot(u, vec)) ** 2 >= 1.0 - 1e-10
+        # so does a warm start of exactly vec(I): its random part leaves the sector
+        for start in (None, np.eye(2).reshape(-1)):
+            val, vec = _top_eigenpair(-np.eye(4) + 2.0 * np.outer(u, u.conj()), start=start)
+            assert abs(val - 1.0) <= 1e-12
+            assert abs(np.vdot(u, vec)) ** 2 >= 1.0 - 1e-10
+
+    @pytest.mark.parametrize(
+        "levels,sizes",
+        [([-1.0] * 7 + [1.0, 2.0], [2, 4]), (list(range(1, 10)), [2, 4, 6, 8, 9])],
+        ids=["odd-step", "last-step"],
+    )
+    def test_stopping_rule_every_second_step(self, monkeypatch, levels, sizes):
+        # D = U diag(levels) U^dagger on the 3 x 3 Hermitian matrix units U: with
+        # three distinct levels the Krylov space closes at step 3, tested at 4; with
+        # nine it closes at step dim^2 = 9, tested there although 9 is odd
+        d = (hermitian_units(3) * levels) @ hermitian_units(3).conj().T
+        calls = []
+        solve = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            calls.append(solve(a, *args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        val, vec = _top_eigenpair(d)
+        assert [len(thetas) for thetas, _ in calls] == sizes
+        assert abs(val - max(levels)) <= 1e-12
+        # the Ritz residual is beta_j |s_j|: the returned pair meets the rule
+        assert np.linalg.norm(d @ vec - val * vec) <= 1e-12 * np.abs(calls[-1][0]).max()
+
+    def test_exhausted_krylov_space_stops_at_once(self):
+        # D = -I: the first step closes the Krylov space with beta exactly 0, an
+        # odd step that is tested at once instead of divided by
+        with np.errstate(all="raise"):
+            val, vec = _top_eigenpair(-np.eye(4))
+        assert abs(val + 1.0) <= 1e-12 and abs(np.linalg.norm(vec) - 1.0) <= 1e-12
 
     def test_no_dense_solve_of_d(self, monkeypatch):
         # the eigensolves inside top_eigenvector are of the small Lanczos
@@ -553,11 +604,45 @@ class TestAnnealing:
         assert 0.0 <= last.fidelity_half_beta <= 1.0
         assert last.fidelity >= last.fidelity_half_beta  # beta reading is the converged one
 
+    def test_warm_starts_match_cold_solves(self, monkeypatch):
+        # the 26-edge input on the default schedule: each point started from the
+        # previous point's eigenvector reports what a cold solve of it reports
+        h = combinatorial_laplacian(random_complex(9, 0.55, 2, 8), 1).astype(complex)
+        jumps, schedule = cut_pauli_jumps(len(h)), [i / 5 for i in range(6)]
+        solve, starts = discriminant.top_eigenvector, []
+
+        def recording(model, start=None):
+            starts.append(start)
+            return solve(model, start=start)
+
+        monkeypatch.setattr(discriminant, "top_eigenvector", recording)
+        warm = asdict(annealing_path(h, jumps, 32, schedule))
+        assert starts[0] is None and all(start is not None for start in starts[1:])
+        monkeypatch.setattr(discriminant, "top_eigenvector", lambda model, start=None: solve(model))
+        cold = asdict(annealing_path(h, jumps, 32, schedule))
+        assert_fields_match(warm, cold, 1e-10)
+
     def test_bad_schedules(self):
         with pytest.raises(ValueError):
             annealing_path(Z, pauli_jumps(1), 16, [0.5, 1.0])
         with pytest.raises(ValueError):
             annealing_path(Z, pauli_jumps(1), 16, [0.0, 1.0, 1.0])
+
+
+def assert_fields_match(a, b, tol):
+    """Equal structure and integers, floats within tol."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert_fields_match(a[key], b[key], tol)
+    elif isinstance(a, list):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_fields_match(x, y, tol)
+    elif isinstance(a, float):
+        assert isinstance(b, float) and abs(a - b) <= tol
+    else:
+        assert type(a) is type(b) and a == b
 
 
 class TestJumpSet:
