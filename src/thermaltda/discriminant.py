@@ -18,7 +18,8 @@ eigenvector is the canonical purification exactly.
 Basis: D is held in H's eigenbasis V, where each jump's frequency component
 factors (see build_discriminant): it is K^dagger D_c K, for the discriminant
 D_c in the computational basis and K = kron(V, conj V), and only its top
-eigenvector X~ is rotated out, to V X~ V^dagger.
+eigenvector X~ is rotated out, to V X~ V^dagger; annealing_path rotates it only
+for its fidelities and reads the rest of its report in H's eigenbasis.
 
 Real form: S swaps the two copies, p = i*dim + k -> k*dim + i.  Swapping the
 factors of a coherent term, a real rate times A (x) conj(A), or of the decay
@@ -38,7 +39,7 @@ sum_a A_a^dagger A_a != I and the completeness identity of pauli_jumps does not
 hold for them.  Criterion 6 keeps the padded route, pad_hamiltonian with
 pauli_jumps on the full register.  top_eigenvector embeds the m x m eigenvector
 into the register's doubled space, with zeros on the unused levels, so that it
-is a state of the register.
+is a state of the register; annealing_path reports no state and embeds nothing.
 """
 
 from __future__ import annotations
@@ -393,20 +394,17 @@ def _top_eigenpair(d_matrix: np.ndarray, *, start: np.ndarray | None = None) -> 
     raise ArithmeticError(f"Lanczos on the discriminant missed its residual tolerance in {n} steps")
 
 
-def top_eigenvector(
-    model: DiscriminantModel, *, start: np.ndarray | None = None
-) -> tuple[float, StateVector, float]:
+def top_eigenvector(model: DiscriminantModel) -> tuple[float, StateVector, float]:
     """Dominant eigenpair of I + D and its fidelity to the purification.
 
     Returns (top eigenvalue of I + D, eigenvector X rotated from H's eigenbasis to
     the computational basis, squared overlap with the canonical purification at
     the model's inverse temperature).  For a dimension m that is not a power of
     two, X (m x m) sits in the top-left block of the doubled space of the
-    2^ceil(log2 m) register, with zeros on the unused levels.  ``start``, a
-    vector in H's eigenbasis, warm-starts the Lanczos run (see _top_eigenpair).
+    2^ceil(log2 m) register, with zeros on the unused levels.
     """
     dim = len(model.hamiltonian)
-    val, vec = _top_eigenpair(model.d_matrix, start=start)
+    val, vec = _top_eigenpair(model.d_matrix)
     evecs = model.h_eigenvectors
     x = evecs @ vec.reshape(dim, dim) @ evecs.conj().T
     fid = _fidelity(x.reshape(-1), model, model.beta)
@@ -447,8 +445,9 @@ def annealing_path(
     each step being solved to a 1e-12 residual.  The purification fidelity is recorded
     at beta and at beta/2 (the two normalization readings of the target).
 
-    H, and so its eigenbasis V, is the same at every point, so each point's Lanczos
-    run starts from the previous point's eigenvector X~ = V^dagger X V: on the
+    H, and so its eigenbasis V, is the same at every point, so the path stays there:
+    each Lanczos run starts from the previous point's eigenvector X~, and consecutive
+    overlaps are |<X~_prev, X~>|^2, those of X = V X~ V^dagger as V is unitary.  On the
     default 6-point schedule of the octahedron's 12 edge levels at grid 32 the six
     solves take 128 Lanczos steps where cold starts take 148.
     """
@@ -458,32 +457,24 @@ def annealing_path(
     dim = len(hamiltonian)
     grid = make_grid(bohr_coverage(hamiltonian), m_points)
     steps: list[AnnealingStep] = []
-    prev_vec = start = None
+    prev = None
     for beta in betas:
         window = gaussian_window(grid, default_sigma_t(beta, grid))
         model = build_discriminant(hamiltonian, jumps, grid, window, beta)
-        top_val, state, fid = top_eigenvector(model, start=start)
-        reg = math.isqrt(state.amplitudes.size)
-        x = state.amplitudes.reshape(reg, reg)[:dim, :dim]
-        fid_half = _fidelity(x.reshape(-1), model, beta / 2.0)
+        val, vec = _top_eigenpair(model.d_matrix, start=prev)
         evecs = model.h_eigenvectors
-        start = evecs.conj().T @ x @ evecs
-        overlap = (
-            None
-            if prev_vec is None
-            else float(abs(np.vdot(prev_vec, state.amplitudes)) ** 2)
-        )
+        x = (evecs @ vec.reshape(dim, dim) @ evecs.conj().T).reshape(-1)
         steps.append(
             AnnealingStep(
                 beta=beta,
                 sigma_t=window.sigma_t,
-                top_eigenvalue=top_val,
-                fidelity=fid,
-                fidelity_half_beta=fid_half,
-                overlap_prev=overlap,
+                top_eigenvalue=1.0 + val,
+                fidelity=_fidelity(x, model, beta),
+                fidelity_half_beta=_fidelity(x, model, beta / 2.0),
+                overlap_prev=None if prev is None else float(abs(np.vdot(prev, vec)) ** 2),
             )
         )
-        prev_vec = state.amplitudes
+        prev = vec
         # freed before the next build, which would hold this D beside its own
         del model
     overlaps = [s.overlap_prev for s in steps if s.overlap_prev is not None]

@@ -544,6 +544,7 @@ class TestBadInput:
             ("random-complex", "--n", 4, "--edge-prob", 0.5, "--max-dim", -1, "--out", "OUT"),
             ("random-complex", "--n", 4_097, "--edge-prob", 0.5, "--out", "OUT"),
             ("scaling", "--n", 4_097, "--instances", 1, "--out", "OUT"),
+            ("scaling", "--n", 4, "--instances", 100_001, "--out", "OUT"),
             ("betti", *HOLLOW, "--method", "swap", "--shots", 2**63),
             ("build-complex", "--points", PointsFile("0,0\n1,0\n"), "--epsilon", "nan", "--out", "OUT"),
         ],

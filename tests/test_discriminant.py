@@ -609,18 +609,37 @@ class TestAnnealing:
         # previous point's eigenvector reports what a cold solve of it reports
         h = combinatorial_laplacian(random_complex(9, 0.55, 2, 8), 1).astype(complex)
         jumps, schedule = cut_pauli_jumps(len(h)), [i / 5 for i in range(6)]
-        solve, starts = discriminant.top_eigenvector, []
+        solve, starts = discriminant._top_eigenpair, []
 
-        def recording(model, start=None):
+        def recording(d_matrix, *, start=None):
             starts.append(start)
-            return solve(model, start=start)
+            return solve(d_matrix, start=start)
 
-        monkeypatch.setattr(discriminant, "top_eigenvector", recording)
+        monkeypatch.setattr(discriminant, "_top_eigenpair", recording)
         warm = asdict(annealing_path(h, jumps, 32, schedule))
         assert starts[0] is None and all(start is not None for start in starts[1:])
-        monkeypatch.setattr(discriminant, "top_eigenvector", lambda model, start=None: solve(model))
+        monkeypatch.setattr(discriminant, "_top_eigenpair", lambda d_matrix, *, start=None: solve(d_matrix))
         cold = asdict(annealing_path(h, jumps, 32, schedule))
         assert_fields_match(warm, cold, 1e-10)
+
+    @pytest.mark.parametrize("complex_name", ["octahedron", "dim32"])
+    def test_steps_match_top_eigenvector(self, complex_name):
+        # the path reads its steps in H's eigenbasis; top_eigenvector on each point's
+        # model, rebuilt, reads them from the state rotated out and embedded in the register
+        cx = {"octahedron": lambda: OCTAHEDRON, "dim32": lambda: random_complex(9, 0.55, 2, 8)}[complex_name]()
+        h = combinatorial_laplacian(cx, 1).astype(complex)
+        schedule = [i / 5 for i in range(6)]
+        report = annealing_path(h, cut_pauli_jumps(len(h)), 32, schedule)
+        prev = None
+        for beta, step in zip(schedule, report.steps):
+            val, state, fid = top_eigenvector(cli_scale_model(cx, beta))
+            assert abs(step.top_eigenvalue - val) <= 1e-10
+            assert abs(step.fidelity - fid) <= 1e-10
+            if prev is None:
+                assert step.overlap_prev is None
+            else:
+                assert abs(step.overlap_prev - abs(np.vdot(prev, state.amplitudes)) ** 2) <= 1e-10
+            prev = state.amplitudes
 
     def test_bad_schedules(self):
         with pytest.raises(ValueError):
