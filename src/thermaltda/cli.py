@@ -217,7 +217,7 @@ def cmd_betti(input_path, corpus_name, k, method, beta, criterion, guard, shots,
 @click.option("--beta-min", type=BETA, default=0.01, show_default=True)
 @click.option("--beta-max", type=BETA, default=10.0, show_default=True)
 # one kernel call per step, each O(m) memory: at the cap, on random_complex(40, 0.6, 4, 1)
-# at k = 3 (m = 3,841), a sweep took 2.8 s at a 189 MB peak RSS (2-core VM)
+# at k = 3 (m = 3,841), a sweep took 3.3-3.4 s at a 140 MB peak RSS (2-core VM)
 @click.option("--beta-steps", type=click.IntRange(min=1, max=10_000), default=50, show_default=True)
 @click.option("--criterion", type=POSITIVE, default=DEFAULT_CRITERION, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())

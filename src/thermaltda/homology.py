@@ -9,9 +9,11 @@ enters.  The two Gram matrices of a boundary are filled straight off the
 face table, dense, with integer entries: a pair of faces lies in at most
 one common simplex and a pair of simplices shares at most one face, so no
 entry is written twice.  The Laplacian matrix itself, for the discriminant
-laboratory, is the sum of the two Grams.  Only ``boundary_matrix``, the
-sparse integer boundary that the chain-complex identity is checked on,
-uses scipy, and imports it when called.
+laboratory, is the sum of the two Grams.  scipy is imported only where it
+is called: by ``boundary_matrix``, the sparse integer boundary that the
+chain-complex identity is checked on, and by ``boundary_spectrum`` for a
+Gram of at least ``IN_PLACE_MIN_DIM`` levels, which LAPACK solves in the
+Gram's own buffer.
 
 Betti numbers come from two independent routes that must agree: the kernel
 dimension of the Laplacian spectrum, under a float tolerance, and the
@@ -34,12 +36,17 @@ KERNEL_TOL_FACTOR = 1e-8
 # only torsion of an order divisible by PRIME can make one fall below the
 # rational rank
 PRIME = 2**31 - 1
-# a query's largest array is a boundary's smaller Gram, at most m x m, and eigvalsh
-# copies it, so the peak is about twice its size: at m = 6,553 (random_complex(36,
-# 0.7, 4, 7), k = 3, a 344 MB Gram) a betti query took 20.6 s (exact) and 18.7 s
-# (thermal) at a 693 MB peak RSS on a 2-core VM, which by m^3 and m^2 puts the cap
-# near 40 s and 1.1 GB (an estimate); the cap is 2.1x the m = 3841 of the k = 3
-# Laplacian of random_complex(40, 0.6, 4, 1)
+# Grams of at least this many levels are solved by LAPACK in their own buffer,
+# through scipy, where numpy's eigvalsh would copy them first.  Below it the copy
+# costs less than importing scipy.linalg (0.18-0.21 s, 27 MB): one-shot solves of real
+# Grams on a 2-core VM, import included, ran 1.4% slower in place at 2,620 levels
+# and 2.6% faster at 2,759 (medians of 8)
+IN_PLACE_MIN_DIM = 2_700
+# a query's largest array is a boundary's smaller Gram, at most m x m and solved in
+# place: at m = 6,553 (random_complex(36, 0.7, 4, 7), k = 3, a 344 MB Gram) a betti
+# query took 17.2 s (exact and thermal) at a 392 MB peak RSS on a 2-core VM, which
+# by m^3 and m^2 puts the cap near 34 s and 0.6 GB (an estimate); the cap is 2.1x
+# the m = 3841 of the k = 3 Laplacian of random_complex(40, 0.6, 4, 1)
 MAX_LAPLACIAN_DIM = 8_192
 
 
@@ -178,24 +185,33 @@ class Spectrum:
         return int(np.count_nonzero(self.eigenvalues < self.tol_kernel))
 
 
+def _with_tolerance(evals: np.ndarray, evecs: np.ndarray | None = None) -> Spectrum:
+    """Ascending eigenvalues with their kernel tolerance, 1e-8 * max(1,
+    largest eigenvalue); an empty spectrum takes 1e-8."""
+    top = float(evals[-1]) if evals.size else 0.0
+    return Spectrum(evals, KERNEL_TOL_FACTOR * max(1.0, top), evecs)
+
+
 def spectrum(laplacian: np.ndarray, with_vectors: bool = False) -> Spectrum:
-    """Full symmetric eigendecomposition, ascending.
+    """Full symmetric eigendecomposition, ascending; the caller's matrix is
+    left as it was.
 
     The kernel tolerance is relative, 1e-8 * max(1, largest eigenvalue), so
-    rescaled complexes classify identically.  Raises
-    numpy.linalg.LinAlgError if the eigensolver fails to converge.
+    rescaled complexes classify identically; a 0 x 0 matrix has the empty
+    spectrum, with tolerance 1e-8.  Raises ValueError on a matrix that is
+    not square, not finite or not symmetric, and numpy.linalg.LinAlgError
+    if the eigensolver fails to converge.
     """
     laplacian = np.asarray(laplacian, dtype=float)
     if laplacian.ndim != 2 or laplacian.shape[0] != laplacian.shape[1]:
         raise ValueError("laplacian must be square")
+    if not np.isfinite(laplacian).all():
+        raise ValueError("laplacian must be finite")
     if not np.array_equal(laplacian, laplacian.T):
         raise ValueError("laplacian must be symmetric")
     if with_vectors:
-        evals, evecs = np.linalg.eigh(laplacian)
-    else:
-        evals, evecs = np.linalg.eigvalsh(laplacian), None
-    tol = KERNEL_TOL_FACTOR * max(1.0, float(evals[-1]))
-    return Spectrum(eigenvalues=evals, tol_kernel=tol, eigenvectors=evecs)
+        return _with_tolerance(*np.linalg.eigh(laplacian))
+    return _with_tolerance(np.linalg.eigvalsh(laplacian))
 
 
 def boundary_spectrum(cx: SimplicialComplex, k: int) -> Spectrum:
@@ -203,15 +219,22 @@ def boundary_spectrum(cx: SimplicialComplex, k: int) -> Spectrum:
 
     Its nonzero eigenvalues are the squared singular values of d_k, the
     nonzero spectrum of both Laplacian terms that d_k enters.  For k = 0
-    and for a boundary with no k-simplices it is empty, with the tolerance
-    of an all-zero spectrum.
+    and for a boundary with no k-simplices it is empty.  The Gram is built
+    here and nothing else holds it, so one of ``IN_PLACE_MIN_DIM`` levels
+    or more is solved in its own buffer: its transpose is the same symmetric
+    matrix in Fortran order, which LAPACK overwrites without a copy.
     """
     m = cx.num_simplices(k)
     if k < 1 or m == 0:
-        return Spectrum(eigenvalues=np.empty(0), tol_kernel=KERNEL_TOL_FACTOR)
-    if cx.num_simplices(k - 1) <= m:
-        return spectrum(face_gram(cx, k))
-    return spectrum(simplex_gram(cx, k))
+        return _with_tolerance(np.empty(0))
+    gram = face_gram(cx, k) if cx.num_simplices(k - 1) <= m else simplex_gram(cx, k)
+    if len(gram) < IN_PLACE_MIN_DIM:
+        return spectrum(gram)
+    import scipy.linalg
+
+    return _with_tolerance(scipy.linalg.eigh(
+        gram.T, eigvals_only=True, overwrite_a=True, check_finite=False, driver="evd"
+    ))
 
 
 def hodge_spectrum(m: int, down: Spectrum, up: Spectrum) -> Spectrum:

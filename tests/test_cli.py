@@ -40,9 +40,12 @@ sys.exit(f"scipy loaded: {loaded[:3]}" if loaded else 0)
 
 
 def test_commands_load_no_scipy(tmp_path):
-    """Only boundary_matrix, which no command calls, imports scipy."""
+    """scipy is imported by boundary_matrix, which no command calls, and by
+    the solve of a Gram of IN_PLACE_MIN_DIM levels or more, which none of
+    these queries reaches."""
     commands = [
         ["betti", "--corpus", "octahedron-boundary", "--k", "1"],
+        ["betti", "--corpus", "octahedron-boundary", "--k", "1", "--method", "thermal"],
         ["betti", "--corpus", "octahedron-boundary", "--k", "1", "--method", "swap"],
         ["sweep", "--corpus", "octahedron-boundary", "--k", "1", "--out", str(tmp_path / "sweep.csv")],
         ["scaling", "--n", "6", "--instances", "5", "--out", str(tmp_path / "scaling.csv")],
@@ -821,3 +824,21 @@ class TestCrossMethodAgreement:
                     stable_cases += 1
                     assert values["swap"] == values["exact"], (name, k, values)
         assert stable_cases >= total_cases - 1  # only the boundary case may abstain
+
+    def test_in_place_solve_prints_the_same_answers(self, runner, tmp_path, monkeypatch):
+        """With every Gram solved in its own buffer, each betti query prints
+        the same JSON as through numpy's copying solve."""
+        path = tmp_path / "cx.json"
+        random_complex(9, 0.7, 4, 3).save(path)
+        sources = [("--corpus", name, ks) for name, ks in self.CORPUS_KS.items()]
+        queries = [
+            ("betti", flag, value, "--k", k, "--method", method)
+            for flag, value, ks in [*sources, ("--input", path, (1, 2, 3))]
+            for k in ks
+            for method in ("exact", "thermal", "swap")
+        ]
+        copying = [invoke(runner, *q) for q in queries]
+        monkeypatch.setattr("thermaltda.homology.IN_PLACE_MIN_DIM", 1)
+        for q, before in zip(queries, copying):
+            assert before.exit_code == 0, (q, before.output)
+            assert invoke(runner, *q).output == before.output, q

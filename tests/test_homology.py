@@ -286,6 +286,54 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_empty_matrix(self):
+        """A 0 x 0 matrix has the empty spectrum, with the tolerance of an
+        empty boundary."""
+        for with_vectors in (False, True):
+            spec = spectrum(np.zeros((0, 0)), with_vectors=with_vectors)
+            assert spec.dim == 0 and spec.kernel_dim == 0
+            assert spec.tol_kernel == boundary_spectrum(from_simplices(1, []), 0).tol_kernel == 1e-8
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            spectrum(np.array([[1.0, 2.0], [2.0, bad]]))
+
+    def test_leaves_the_callers_matrix(self, corpus):
+        lap = combinatorial_laplacian(corpus["octahedron-boundary"], 1)
+        for matrix in (lap, np.asfortranarray(lap)):
+            before = matrix.copy()
+            for with_vectors in (False, True):
+                spectrum(matrix, with_vectors=with_vectors)
+                np.testing.assert_array_equal(matrix, before)
+
+
+class TestInPlaceSolve:
+    """A Gram of IN_PLACE_MIN_DIM levels or more is solved in its own buffer;
+    with the constant at 1 every Gram is, so each answer is read off both
+    branches."""
+
+    def test_both_branches_give_the_same_spectra(self, corpus, monkeypatch):
+        family = [
+            *corpus.values(),
+            *(t[0] for t in TOPOLOGY.values()),
+            *random_complex_family(30, max_vertices=10, seed=29),
+        ]
+        copying = [laplacian_spectra(cx, range(cx.max_dim + 1)) for cx in family]
+
+        def unused(*args, **kwargs):
+            raise AssertionError("a Gram went through spectrum()")
+
+        monkeypatch.setattr("thermaltda.homology.IN_PLACE_MIN_DIM", 1)
+        monkeypatch.setattr("thermaltda.homology.spectrum", unused)
+        for i, (cx, before) in enumerate(zip(family, copying)):
+            for k, spec in laplacian_spectra(cx, range(cx.max_dim + 1)).items():
+                ref = before[k]
+                scale = max(1.0, float(ref.eigenvalues[-1]))
+                assert spec.kernel_dim == ref.kernel_dim, (i, k)
+                assert spec.tol_kernel == ref.tol_kernel, (i, k)
+                assert np.abs(spec.eigenvalues - ref.eigenvalues).max() <= 1e-12 * scale, (i, k)
+
 
 class TestBettiOracles:
     def test_corpus_values_both_routes(self, corpus):

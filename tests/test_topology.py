@@ -7,6 +7,7 @@ import pytest
 
 from conftest import TOPOLOGY, torus
 from thermaltda.homology import (
+    IN_PLACE_MIN_DIM,
     betti_exact_kernel,
     betti_exact_rank,
     combinatorial_laplacian,
@@ -51,21 +52,29 @@ def test_every_route_gives_the_known_betti_numbers(name):
         assert stable >= len(betti) // 2  # the stable-floor check is not vacuous
 
 
-def test_four_torus_outer_dimensions():
-    """T^4 has b_k = C(4, k) = (1, 4, 6, 4, 1).  k = 0, 1 and 4 are checked
-    through the kernel count, the GF(p) rank and the thermal floor; k = 2
-    and 3 through the GF(p) rank alone, which reads the face tables of the
-    4,050-, 4,860- and 1,944-row dimensions.  Their eigen-routes would each
-    need a 4050 x 4050 Gram eigensolve."""
+def _check_four_torus(ks):
     cx = torus(4)
     assert tuple(cx.num_simplices(k) for k in range(5)) == (81, 1215, 4050, 4860, 1944)
-    for k, spec in laplacian_spectra(cx, (0, 1, 4)).items():
+    for k, spec in laplacian_spectra(cx, ks).items():
         b = (1, 4, 6, 4, 1)[k]
         assert betti_exact_kernel(spec) == b, k
         assert betti_exact_rank(cx, k).betti == b, k
         assert betti_thermal(spec, 4.0 * beta_threshold(spec, spec.dim)).betti_floor == b, k
-    for k in (2, 3):
-        assert betti_exact_rank(cx, k).betti == (1, 4, 6, 4, 1)[k], k
+
+
+def test_four_torus_outer_dimensions():
+    """T^4 has b_k = C(4, k) = (1, 4, 6, 4, 1).  k = 0, 1 and 4 are checked
+    through the kernel count, the GF(p) rank and the thermal floor; no Gram
+    they solve has more than 1,944 levels."""
+    _check_four_torus((0, 1, 4))
+
+
+def test_four_torus_middle_dimensions():
+    """b_2 = 6 and b_3 = 4 of T^4 by the same three routes, from one call:
+    both Laplacians enter d_3, from the 4,860 3-simplices to the 4,050
+    2-simplices, whose 4,050-level Gram is solved in its own buffer."""
+    assert IN_PLACE_MIN_DIM <= 4050
+    _check_four_torus((2, 3))
 
 
 def test_klein_bottle_torsion_shows_over_gf2(monkeypatch):
