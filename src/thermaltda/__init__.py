@@ -28,6 +28,7 @@ from .homology import (
     betti_exact_rank,
     boundary_matrix,
     combinatorial_laplacian,
+    laplacian_kernel,
     laplacian_spectrum,
     spectral_gap,
     spectrum,

@@ -28,9 +28,9 @@ from .complexes import (
 from .discriminant import annealing_path, cut_pauli_jumps
 from .homology import (
     ZeroSpectrumError,
-    betti_exact_kernel,
     betti_exact_rank,
     combinatorial_laplacian,
+    laplacian_kernel,
     laplacian_spectrum,
 )
 from .swaptest import betti_swap
@@ -186,9 +186,8 @@ def cmd_random_complex(n, edge_prob, max_dim, seed, out_path):
 def cmd_betti(input_path, corpus_name, k, method, beta, criterion, guard, shots, seed, out_path):
     """Betti number of one dimension by the chosen route."""
     cx = _read_complex(input_path, corpus_name)
-    spec = laplacian_spectrum(cx, k)
     if method == "exact":
-        kernel = betti_exact_kernel(spec)
+        kernel, tol_kernel = laplacian_kernel(cx, k)
         ranks = betti_exact_rank(cx, k)
         payload = {
             "method": "exact",
@@ -196,10 +195,11 @@ def cmd_betti(input_path, corpus_name, k, method, beta, criterion, guard, shots,
             "betti_kernel": kernel,
             "betti_rank": ranks.betti,
             "agree": kernel == ranks.betti,
-            "tol_kernel": spec.tol_kernel,
+            "tol_kernel": tol_kernel,
             "meta": _meta(),
         }
     else:
+        spec = laplacian_spectrum(cx, k)
         if beta is None:
             beta = _default_beta(spec, criterion)
         if method == "thermal":

@@ -9,17 +9,25 @@ enters.  The two Gram matrices of a boundary are filled straight off the
 face table, dense, with integer entries: a pair of faces lies in at most
 one common simplex and a pair of simplices shares at most one face, so no
 entry is written twice.  The Laplacian matrix itself, for the discriminant
-laboratory, is the sum of the two Grams.  scipy is imported only where it
-is called: by ``boundary_matrix``, the sparse integer boundary that the
-chain-complex identity is checked on, and by ``boundary_spectrum`` for a
-Gram of at least ``IN_PLACE_MIN_DIM`` levels, which LAPACK solves in the
-Gram's own buffer.
+laboratory, is the sum of the two Grams.
 
 Betti numbers come from two independent routes that must agree: the kernel
 dimension of the Laplacian spectrum, under a float tolerance, and the
 rank-nullity count, whose ranks are exact: a column reduction of the face
 tables mod the prime 2^31 - 1, with clearing.  A rank mod p can only fall
-below the rational rank, so p-torsion would show as a disagreement.
+below the rational rank, so p-torsion would show as a disagreement.  The
+kernel dimension alone (``laplacian_kernel``) needs no full eigensolve of a
+Gram of ``INERTIA_MIN_DIM`` levels or more: Lanczos on the sparse Gram gives
+its largest level, which sets the tolerance, and by Sylvester's law of
+inertia its count of levels below the tolerance is the count of negative
+pivots of one LDL^T of the Gram less tol * I.
+
+scipy is imported only where it is called: by ``boundary_matrix``, the
+sparse integer boundary on which the chain-complex identity is checked and
+from which the Lanczos run's Gram is formed, by that Lanczos run and that
+LDL^T, and by ``boundary_spectrum`` for
+a Gram of at least ``IN_PLACE_MIN_DIM`` levels, which LAPACK solves in the
+Gram's own buffer.
 """
 
 from __future__ import annotations
@@ -42,11 +50,18 @@ PRIME = 2**31 - 1
 # Grams on a 2-core VM, import included, ran 1.4% slower in place at 2,620 levels
 # and 2.6% faster at 2,759 (medians of 8)
 IN_PLACE_MIN_DIM = 2_700
-# a query's largest array is a boundary's smaller Gram, at most m x m and solved in
-# place: at m = 6,553 (random_complex(36, 0.7, 4, 7), k = 3, a 344 MB Gram) a betti
-# query took 17.2 s (exact and thermal) at a 392 MB peak RSS on a 2-core VM, which
-# by m^3 and m^2 puts the cap near 34 s and 0.6 GB (an estimate); the cap is 2.1x
-# the m = 3841 of the k = 3 Laplacian of random_complex(40, 0.6, 4, 1)
+# on the exact route a Gram of at least this many levels has its kernel counted by
+# one LDL^T (laplacian_kernel), not solved.  Below it eigvalsh costs less than the
+# count with its scipy imports (0.17 s): one-shot counts on real Grams on a 2-core
+# VM, imports included, over eigvalsh, medians of 8: 1.075 at 1,460 levels, 1.013 at
+# 1,502, 0.983 at 1,505, 0.909 at 1,568 and 0.515 at 2,054
+INERTIA_MIN_DIM = 1_500
+# a query's largest array is a boundary's smaller Gram, at most m x m and solved or
+# factored in place: at m = 6,553 (random_complex(36, 0.7, 4, 7), k = 3, a 344 MB
+# Gram) a thermal betti query took 13.4-13.8 s at a 392 MB peak RSS on a 2-core VM,
+# which by m^3 and m^2 puts the cap near 27 s and 0.6 GB (an estimate), and an exact
+# one, which counts the kernel by inertia, 2.3 s at 396 MB; the cap is 2.1x the
+# m = 3841 of the k = 3 Laplacian of random_complex(40, 0.6, 4, 1)
 MAX_LAPLACIAN_DIM = 8_192
 
 
@@ -214,6 +229,17 @@ def spectrum(laplacian: np.ndarray, with_vectors: bool = False) -> Spectrum:
     return _with_tolerance(np.linalg.eigvalsh(laplacian))
 
 
+def _gram_dim(cx: SimplicialComplex, k: int) -> int:
+    """Levels of the smaller Gram matrix of d_k: the fewer of its faces and
+    its simplices, and 0 for k = 0 or a boundary with no k-simplices."""
+    return min(cx.num_simplices(k - 1), cx.num_simplices(k)) if k >= 1 else 0
+
+
+def _smaller_gram(cx: SimplicialComplex, k: int) -> np.ndarray:
+    """d_k d_k^T when d_k has no more faces than simplices, else d_k^T d_k."""
+    return face_gram(cx, k) if cx.num_simplices(k - 1) <= cx.num_simplices(k) else simplex_gram(cx, k)
+
+
 def boundary_spectrum(cx: SimplicialComplex, k: int) -> Spectrum:
     """Spectrum of the smaller Gram matrix of d_k, d_k d_k^T or d_k^T d_k.
 
@@ -224,10 +250,9 @@ def boundary_spectrum(cx: SimplicialComplex, k: int) -> Spectrum:
     or more is solved in its own buffer: its transpose is the same symmetric
     matrix in Fortran order, which LAPACK overwrites without a copy.
     """
-    m = cx.num_simplices(k)
-    if k < 1 or m == 0:
+    if _gram_dim(cx, k) == 0:
         return _with_tolerance(np.empty(0))
-    gram = face_gram(cx, k) if cx.num_simplices(k - 1) <= m else simplex_gram(cx, k)
+    gram = _smaller_gram(cx, k)
     if len(gram) < IN_PLACE_MIN_DIM:
         return spectrum(gram)
     import scipy.linalg
@@ -266,6 +291,73 @@ def laplacian_spectra(cx: SimplicialComplex, ks) -> dict[int, Spectrum]:
 def laplacian_spectrum(cx: SimplicialComplex, k: int) -> Spectrum:
     """Ascending spectrum of the k-Laplacian; see ``laplacian_spectra``."""
     return laplacian_spectra(cx, (k,))[k]
+
+
+def _top_level(cx: SimplicialComplex, k: int) -> float:
+    """Largest eigenvalue of the Gram matrices of d_k, its top squared
+    singular value, by Lanczos on the smaller Gram in sparse form.
+
+    The start is a fixed random vector: a constant one can lie in the kernel.
+    Raises numpy.linalg.LinAlgError if ARPACK fails.
+    """
+    import scipy.sparse.linalg
+
+    d = boundary_matrix(cx, k)
+    gram = (d @ d.T if d.shape[0] <= d.shape[1] else d.T @ d).astype(float)
+    start = np.random.default_rng(0).standard_normal(gram.shape[0])
+    try:
+        top = scipy.sparse.linalg.eigsh(gram, k=1, which="LA", tol=0, v0=start, return_eigenvectors=False)
+    except scipy.sparse.linalg.ArpackError as exc:  # ArpackNoConvergence among them
+        raise np.linalg.LinAlgError(f"no top level of the {k}-boundary's Gram: {exc}") from exc
+    return float(top[0])
+
+
+def _levels_below(gram: np.ndarray, tol: float) -> int:
+    """Number of eigenvalues of the symmetric ``gram`` below ``tol``; the
+    matrix is overwritten.
+
+    By Sylvester's law of inertia it is the number of negative eigenvalues of
+    D in the Bunch-Kaufman factorization gram - tol I = L D L^T, which LAPACK
+    computes in the buffer of a C-order ``gram``: its transpose is the same
+    symmetric matrix in Fortran order.  D holds 1 x 1 pivots and
+    2 x 2 blocks; the pivot rule takes a 2 x 2 block only where its
+    determinant is negative, so each block has one negative eigenvalue.  An
+    exact zero pivot is not below ``tol``, as in ``eigenvalues < tol``.
+    """
+    from scipy.linalg import lapack
+
+    m = len(gram)
+    gram[np.diag_indices(m)] -= tol
+    lwork = int(lapack.dsytrf_lwork(m)[0])
+    ldu, pivots, info = lapack.dsytrf(gram.T, lwork=lwork, overwrite_a=True)
+    if info < 0:
+        raise np.linalg.LinAlgError(f"dsytrf rejected argument {-info}")
+    # LAPACK marks both rows of a 2 x 2 block with a negative pivot index
+    one = pivots > 0
+    return int(np.count_nonzero(ldu.diagonal()[one] < 0) + np.count_nonzero(~one) // 2)
+
+
+def laplacian_kernel(cx: SimplicialComplex, k: int) -> tuple[int, float]:
+    """Kernel dimension of the k-Laplacian and its tolerance: the
+    ``kernel_dim`` and ``tol_kernel`` of ``laplacian_spectrum(cx, k)``,
+    without a full eigensolve of a large Gram.
+
+    Through the Hodge split, the kernel is m_k less the levels at or above
+    the tolerance in the smaller Grams of d_k and d_{k+1}, and the tolerance
+    is 1e-8 * max(1, largest level of either).  A Gram of fewer than
+    ``INERTIA_MIN_DIM`` levels is solved by ``boundary_spectrum``.  A larger
+    one gives its largest level to ``_top_level`` and, once the tolerance is
+    known, its count below it to ``_levels_below``, so one dense Gram at a
+    time is built.  The size checks of ``laplacian_dim`` run first.
+    """
+    m = laplacian_dim(cx, k)
+    large = [j for j in (k, k + 1) if _gram_dim(cx, j) >= INERTIA_MIN_DIM]
+    small = [boundary_spectrum(cx, j) for j in (k, k + 1) if j not in large]
+    tops = [float(s.eigenvalues[-1]) for s in small if s.dim] + [_top_level(cx, j) for j in large]
+    tol = KERNEL_TOL_FACTOR * max([1.0, *tops])
+    kept = sum(int(np.count_nonzero(s.eigenvalues >= tol)) for s in small)
+    kept += sum(_gram_dim(cx, j) - _levels_below(_smaller_gram(cx, j), tol) for j in large)
+    return m - kept, tol
 
 
 def betti_exact_kernel(spec: Spectrum) -> int:

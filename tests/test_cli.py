@@ -40,9 +40,10 @@ sys.exit(f"scipy loaded: {loaded[:3]}" if loaded else 0)
 
 
 def test_commands_load_no_scipy(tmp_path):
-    """scipy is imported by boundary_matrix, which no command calls, and by
-    the solve of a Gram of IN_PLACE_MIN_DIM levels or more, which none of
-    these queries reaches."""
+    """scipy is imported by the solve of a Gram of IN_PLACE_MIN_DIM levels or
+    more and by the exact route's count for one of INERTIA_MIN_DIM levels or
+    more, which none of these queries reaches, and by boundary_matrix, which
+    only that count calls."""
     commands = [
         ["betti", "--corpus", "octahedron-boundary", "--k", "1"],
         ["betti", "--corpus", "octahedron-boundary", "--k", "1", "--method", "thermal"],
@@ -176,8 +177,8 @@ class TestBetti:
     )
     def test_spectra_assemble_no_boundary_or_laplacian(self, runner, tmp_path, monkeypatch, args):
         """Every spectrum on these routes comes from the boundaries' Gram
-        matrices, read off the face tables: the sparse boundary and the
-        Laplacian matrix are never built."""
+        matrices, read off the face tables: the Laplacian matrix is never
+        built, nor the sparse boundary below INERTIA_MIN_DIM levels."""
 
         def unbuilt(*args):
             raise AssertionError("boundary matrix or Laplacian assembled")
@@ -638,6 +639,27 @@ class TestBadInput:
         assert result.exit_code == 3, result.output
         assert "Error:" in result.output
 
+    @pytest.mark.parametrize("failure", ["no convergence", "arpack error", "dsytrf argument"])
+    def test_inertia_count_failure_exits_3(self, runner, monkeypatch, failure):
+        """A Lanczos run that fails or an LDL^T that LAPACK rejects on the exact
+        route's inertia count exits 3, never a traceback."""
+        import scipy.linalg.lapack
+        import scipy.sparse.linalg as arpack
+
+        def no_top(*args, **kwargs):
+            if failure == "no convergence":
+                raise arpack.ArpackNoConvergence("injected", np.empty(0), np.empty((0, 0)))
+            raise arpack.ArpackError(-9999)
+
+        if failure == "dsytrf argument":
+            monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", lambda a, **kwargs: (a, np.ones(len(a)), -1))
+        else:
+            monkeypatch.setattr(arpack, "eigsh", no_top)
+        monkeypatch.setattr("thermaltda.homology.INERTIA_MIN_DIM", 2)
+        result = invoke(runner, "betti", *self.HOLLOW, "--method", "exact")
+        assert result.exit_code == 3, result.output
+        assert "Error: numerical failure:" in result.output
+
 
 def _beta_in_bound(v: float) -> bool:
     return 0.0 <= v <= 1e12
@@ -842,3 +864,23 @@ class TestCrossMethodAgreement:
         for q, before in zip(queries, copying):
             assert before.exit_code == 0, (q, before.output)
             assert invoke(runner, *q).output == before.output, q
+
+    def test_inertia_count_prints_the_same_answers(self, runner, tmp_path, monkeypatch):
+        """With every Gram of two levels or more counted by inertia, each exact
+        query prints the same Betti numbers and verdict as through the full
+        spectra, and a tolerance within 1e-13 of theirs."""
+        path = tmp_path / "cx.json"
+        random_complex(9, 0.7, 4, 3).save(path)
+        sources = [("--corpus", name, ks) for name, ks in self.CORPUS_KS.items()]
+        queries = [
+            ("betti", flag, value, "--k", k, "--method", "exact")
+            for flag, value, ks in [*sources, ("--input", path, (0, 1, 2, 3))]
+            for k in ks
+        ]
+        solved = [invoke(runner, *q) for q in queries]
+        monkeypatch.setattr("thermaltda.homology.INERTIA_MIN_DIM", 2)
+        for q, before in zip(queries, solved):
+            assert before.exit_code == 0, (q, before.output)
+            ref, data = json.loads(before.output), json.loads(invoke(runner, *q).output)
+            assert data.pop("tol_kernel") == pytest.approx(ref.pop("tol_kernel"), rel=1e-13, abs=0), q
+            assert data == ref, q

@@ -15,11 +15,14 @@ from thermaltda.homology import (
     combinatorial_laplacian,
     face_gram,
     hodge_spectrum,
+    laplacian_kernel,
     laplacian_spectra,
     laplacian_spectrum,
     simplex_gram,
     spectral_gap,
     spectrum,
+    _gram_dim,
+    _levels_below,
     _pivot_rows,
 )
 
@@ -333,6 +336,111 @@ class TestInPlaceSolve:
                 assert spec.kernel_dim == ref.kernel_dim, (i, k)
                 assert spec.tol_kernel == ref.tol_kernel, (i, k)
                 assert np.abs(spec.eigenvalues - ref.eigenvalues).max() <= 1e-12 * scale, (i, k)
+
+
+class TestInertiaCount:
+    """A Gram of INERTIA_MIN_DIM levels or more counts its kernel by the
+    inertia of one LDL^T; with the constant at its floor of 2 every Gram of
+    two levels or more does."""
+
+    @staticmethod
+    def _built_matrices():
+        """Symmetric matrices with zero or tiny diagonals, where Bunch-Kaufman
+        must take 2 x 2 pivots, and singular ones whose LDL^T at tol = 0
+        meets an exact zero pivot, each with the tolerances to count at."""
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        yield swap, (0.0, 0.5, 1e-8, -0.5)
+        yield np.kron(np.eye(3), swap) + np.diag([0, 0, 2, 2, -3, -3.0]), (0.0, 1e-8, 2.5)
+        yield np.diag([0.0, 1.0, -1.0]), (0.0,)
+        yield np.ones((2, 2)), (0.0,)
+        rng = np.random.default_rng(30)
+        for n in (4, 9, 30, 80):
+            for _ in range(5):
+                a = rng.integers(-2, 3, (n, n)).astype(float)
+                a = np.triu(a, 1) + np.triu(a, 1).T
+                # integer matrices have no eigenvalue at +-1/2: no count rests on rounding
+                yield a, (0.5, -0.5)
+
+    def test_counts_match_eigvalsh(self):
+        from scipy.linalg import lapack
+
+        two_by_two = zero_pivot = 0
+        for matrix, tols in self._built_matrices():
+            evals = np.linalg.eigvalsh(matrix)
+            for tol in tols:
+                shifted = matrix - tol * np.eye(len(matrix))
+                _, pivots, info = lapack.dsytrf(shifted)
+                two_by_two += np.count_nonzero(pivots < 0) // 2
+                zero_pivot += info > 0
+                gram = matrix.copy()
+                assert _levels_below(gram, tol) == np.count_nonzero(evals < tol), (matrix, tol)
+        assert two_by_two > 0 and zero_pivot > 0  # both branches of D are reached
+
+    def test_overwrites_the_matrix_in_place(self):
+        gram = simplex_gram(random_complex(8, 0.7, 3, 5), 2)
+        before = gram.copy()
+        _levels_below(gram, 0.5)
+        assert not np.array_equal(gram, before)
+
+    def test_both_branches_give_the_same_kernels(self, corpus, monkeypatch):
+        family = [
+            *corpus.values(),
+            *(t[0] for t in TOPOLOGY.values()),
+            *random_complex_family(30, max_vertices=10, seed=31),
+        ]
+        spectra = [laplacian_spectra(cx, range(cx.max_dim + 1)) for cx in family]
+        for cx, before in zip(family, spectra):
+            for k, ref in before.items():
+                assert laplacian_kernel(cx, k) == (ref.kernel_dim, ref.tol_kernel), k
+        monkeypatch.setattr("thermaltda.homology.INERTIA_MIN_DIM", 2)
+        counted = 0
+        for i, (cx, before) in enumerate(zip(family, spectra)):
+            for k, ref in before.items():
+                kernel, tol = laplacian_kernel(cx, k)
+                counted += any(_gram_dim(cx, j) >= 2 for j in (k, k + 1))
+                assert kernel == ref.kernel_dim, (i, k)
+                assert tol == pytest.approx(ref.tol_kernel, rel=1e-13, abs=0), (i, k)
+        assert counted > 100
+
+    def test_holds_one_dense_gram_at_a_time(self, monkeypatch):
+        """Both Grams large: the tolerance comes from the sparse boundaries
+        first, then each dense Gram is built and factored in turn."""
+        import thermaltda.homology as homology
+
+        live = []
+        build = homology._smaller_gram
+        count = homology._levels_below
+
+        def built(cx, j):
+            assert not live, "a second dense Gram built while one is alive"
+            live.append(j)
+            return build(cx, j)
+
+        def factored(gram, tol):
+            live.pop()
+            return count(gram, tol)
+
+        cx = random_complex(9, 0.7, 4, 3)
+        assert min(_gram_dim(cx, 2), _gram_dim(cx, 3)) >= 2
+        ref = laplacian_spectrum(cx, 2).kernel_dim
+        monkeypatch.setattr(homology, "INERTIA_MIN_DIM", 2)
+        monkeypatch.setattr(homology, "_smaller_gram", built)
+        monkeypatch.setattr(homology, "_levels_below", factored)
+        assert laplacian_kernel(cx, 2)[0] == ref
+        assert not live
+
+    def test_checks_run_first(self, corpus, monkeypatch):
+        with pytest.raises(EmptySimplexSetError):
+            laplacian_kernel(corpus["hollow-triangle"], 2)
+
+        def unbuilt(*args):
+            raise AssertionError("boundary or Gram matrix built past the cap")
+
+        monkeypatch.setattr("thermaltda.homology.MAX_LAPLACIAN_DIM", 2)
+        for name in ("boundary_matrix", "face_gram", "simplex_gram"):
+            monkeypatch.setattr(f"thermaltda.homology.{name}", unbuilt)
+        with pytest.raises(ValueError, match="Laplacian cap of 2"):
+            laplacian_kernel(corpus["hollow-triangle"], 1)
 
 
 class TestBettiOracles:

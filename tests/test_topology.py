@@ -8,9 +8,11 @@ import pytest
 from conftest import TOPOLOGY, torus
 from thermaltda.homology import (
     IN_PLACE_MIN_DIM,
+    INERTIA_MIN_DIM,
     betti_exact_kernel,
     betti_exact_rank,
     combinatorial_laplacian,
+    laplacian_kernel,
     laplacian_spectra,
     laplacian_spectrum,
     spectrum,
@@ -60,20 +62,25 @@ def _check_four_torus(ks):
         assert betti_exact_kernel(spec) == b, k
         assert betti_exact_rank(cx, k).betti == b, k
         assert betti_thermal(spec, 4.0 * beta_threshold(spec, spec.dim)).betti_floor == b, k
+        kernel, tol = laplacian_kernel(cx, k)
+        assert kernel == b, k
+        assert tol == pytest.approx(spec.tol_kernel, rel=1e-13, abs=0), k
 
 
 def test_four_torus_outer_dimensions():
     """T^4 has b_k = C(4, k) = (1, 4, 6, 4, 1).  k = 0, 1 and 4 are checked
-    through the kernel count, the GF(p) rank and the thermal floor; no Gram
-    they solve has more than 1,944 levels."""
+    through the kernel count, its inertia count, the GF(p) rank and the
+    thermal floor; no Gram they solve has more than 1,944 levels, and k = 4
+    counts that one by inertia."""
     _check_four_torus((0, 1, 4))
 
 
 def test_four_torus_middle_dimensions():
-    """b_2 = 6 and b_3 = 4 of T^4 by the same three routes, from one call:
-    both Laplacians enter d_3, from the 4,860 3-simplices to the 4,050
-    2-simplices, whose 4,050-level Gram is solved in its own buffer."""
-    assert IN_PLACE_MIN_DIM <= 4050
+    """b_2 = 6 and b_3 = 4 of T^4 by the same routes, the spectra from one
+    call: both Laplacians enter d_3, from the 4,860 3-simplices to the 4,050
+    2-simplices, whose 4,050-level Gram is solved in its own buffer and, on
+    the exact route, counted by inertia."""
+    assert max(IN_PLACE_MIN_DIM, INERTIA_MIN_DIM) <= 4050
     _check_four_torus((2, 3))
 
 
