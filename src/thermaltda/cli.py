@@ -249,7 +249,7 @@ def cmd_sweep(input_path, corpus_name, k, beta_min, beta_max, beta_steps, criter
 @click.option("--n", type=click.IntRange(min=2, max=4_096), default=10, show_default=True)
 @click.option("--k", "ks", type=click.IntRange(min=0), multiple=True, default=(1, 2, 3, 4), show_default=True)
 # instances are drawn and solved in turn and every record is kept: at the cap a default
-# query (n = 10, k = 1-4) took 96 s at a 148 MB peak RSS (2-core VM)
+# query (n = 10, k = 1-4) took 78 s at a 148 MB peak RSS (one-shot process, 2-core VM)
 @click.option("--instances", type=click.IntRange(min=1, max=100_000), default=300, show_default=True)
 @click.option("--criterion", type=POSITIVE, default=DEFAULT_CRITERION, show_default=True)
 @click.option("--edge-prob-lo", type=float, default=0.3, show_default=True)

@@ -21,12 +21,12 @@ Simplex = tuple[int, ...]
 METRICS = ("euclidean", "manhattan", "chebyshev")
 
 # Enumeration budget, total over all dimensions.  random_complex(34, 0.95, 5, 0)
-# has 890,707 simplices and took 1.7-2.0 s at 303 MB peak RSS, most of it in
-# the face table's searchsorted; (24, 0.95, 5, 0) has 85,014 and took 0.17 s
-# at 57 MB.  random_complex(4096, 0.1, 2, 0) meets the budget and raises after
-# 0.6-0.7 s at 89 MB (2-core VM, in process, two runs each).  The budget stops
-# a dense graph or a high max_dim long before memory runs out, and is over
-# 100x the 9,579 simplices of the 40-vertex complex of perfbench's
+# has 890,707 simplices and took 0.79-0.82 s at 283 MB peak RSS, most of it in
+# the face table's searchsorted; (24, 0.95, 5, 0) has 85,014 and took 0.08 s
+# at 55 MB.  random_complex(4096, 0.1, 2, 0) meets the budget and raises after
+# 0.37-0.39 s at 89 MB (2-core VM, one-shot processes, three runs each).  The
+# budget stops a dense graph or a high max_dim long before memory runs out, and
+# is over 100x the 9,579 simplices of the 40-vertex complex of perfbench's
 # betti-large workload.
 MAX_SIMPLICES = 1_000_000
 # Entries of one clique-expansion mask, a 4 MB bool array: cliques are
@@ -104,7 +104,11 @@ class SimplicialComplex:
 
     ``sets[k]`` is a C-contiguous, read-only (m_k, k+1) int32 array of the
     k-simplices: each row strictly increasing, the rows sorted and distinct.
-    The constructor takes integer rows in any order; equality is of simplices.
+    The constructor takes integer rows in any order and checks every one;
+    equality is of simplices.  ``random_complex`` and ``build_clique_complex``
+    build their arrays in this form, so theirs go through the vertex-count
+    and closure checks only (``_of_sorted_rows``); the closure check is the
+    one face-table builder of both routes.
     """
 
     n_vertices: int
@@ -115,13 +119,7 @@ class SimplicialComplex:
     faces: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        _check_ints([self.n_vertices])
-        n = int(self.n_vertices)
-        if n < 1:
-            raise ValueError("complex needs at least one vertex")
-        if n > 2**31 - 1:  # vertex ids are int32
-            raise ValueError(f"{n:,} vertices exceed 2**31 - 1")
-        object.__setattr__(self, "n_vertices", n)
+        n = _vertex_count(self.n_vertices)
         sets, keys = {}, {}
         for k, simplices in self.sets.items():
             if k < 0:
@@ -131,8 +129,26 @@ class SimplicialComplex:
             if not (keys[k][1:] > keys[k][:-1]).all():  # unsorted or repeated rows
                 keys[k], first = np.unique(keys[k], return_index=True)
                 sets[k] = sets[k][first]
-            sets[k].flags.writeable = False
+        self._close(n, sets, keys)
+
+    @classmethod
+    def _of_sorted_rows(cls, n_vertices: int, sets: dict[int, np.ndarray]) -> "SimplicialComplex":
+        """The complex of int32 row arrays that are already in the form
+        ``sets`` documents (C-contiguous, rows in range, strictly increasing,
+        sorted and distinct), as the clique enumerator builds them: only the
+        vertex count and the downward closure are checked."""
+        cx = object.__new__(cls)
+        cx._close(_vertex_count(n_vertices), sets, {k: _row_keys(rows) for k, rows in sets.items()})
+        return cx
+
+    def _close(self, n: int, sets: dict[int, np.ndarray], keys: dict[int, np.ndarray]) -> None:
+        """Freeze the nonempty ``sets`` and build ``faces`` off their row keys,
+        ``_row_keys`` of each; raise ValueError on a missing face."""
+        object.__setattr__(self, "n_vertices", n)
+        for rows in sets.values():
+            rows.flags.writeable = False
         object.__setattr__(self, "sets", {k: sets[k] for k in sorted(sets) if len(sets[k])})
+        object.__setattr__(self, "faces", {})  # the enumerator's complex never ran __init__
         # downward closure: every face of a k-simplex is on a row of sets[k-1]
         for k in sorted(self.sets.keys() - {0}):
             rows = keys[k].view(">i4").reshape(-1, k + 1)
@@ -199,6 +215,17 @@ def _check_ints(values: list) -> None:
         )
         if bad is not None:
             raise ValueError(f"{json.dumps(bad, default=repr)} is not an integer")
+
+
+def _vertex_count(n) -> int:
+    """A vertex count as a Python int; ValueError unless it is an integer in [1, 2**31 - 1]."""
+    _check_ints([n])
+    n = int(n)
+    if n < 1:
+        raise ValueError("complex needs at least one vertex")
+    if n > 2**31 - 1:  # vertex ids are int32
+        raise ValueError(f"{n:,} vertices exceed 2**31 - 1")
+    return n
 
 
 def _checked_rows(simplices, k: int, n: int) -> np.ndarray:
@@ -304,7 +331,8 @@ def build_clique_complex(
 
     Vertices i, j are joined iff dist(i, j) <= epsilon (closed ball, so ties
     at exactly epsilon are edges), and every clique of at most max_dim+1
-    vertices becomes a simplex.
+    vertices becomes a simplex.  The enumerator's rows are sorted and in
+    range by construction, so only the closure check runs on them.
     """
     if not epsilon >= 0:  # also rejects NaN, which no distance is <= to
         raise ValueError("epsilon must be >= 0")
@@ -318,7 +346,7 @@ def build_clique_complex(
     dist = _pairwise_distances(cloud.points, metric)
     adj = dist <= epsilon
     np.fill_diagonal(adj, False)
-    return SimplicialComplex(cloud.n, _cliques_from_adjacency(adj, max_dim))
+    return SimplicialComplex._of_sorted_rows(cloud.n, _cliques_from_adjacency(adj, max_dim))
 
 
 def random_complex(n: int, edge_prob: float, max_dim: int, seed: int) -> SimplicialComplex:
@@ -326,7 +354,9 @@ def random_complex(n: int, edge_prob: float, max_dim: int, seed: int) -> Simplic
 
     Deterministic for fixed (n, edge_prob, max_dim, seed): edges are decided
     from a PCG64 stream in row-major order over the strict upper triangle,
-    drawn in blocks of rows of at most MAX_MASK_ENTRIES entries.
+    drawn in blocks of rows of at most MAX_MASK_ENTRIES entries.  The
+    enumerator's rows are sorted and in range by construction, so only the
+    closure check runs on them.
     """
     if n < 1:
         raise ValueError("need n >= 1 vertices")
@@ -340,7 +370,7 @@ def random_complex(n: int, edge_prob: float, max_dim: int, seed: int) -> Simplic
     for start in range(0, n, rows):  # block row i keeps the columns above start + i
         adj[start:start + rows] = np.triu(rng.random((min(rows, n - start), n)) < edge_prob, start + 1)
     adj |= adj.T
-    return SimplicialComplex(n, _cliques_from_adjacency(adj, max_dim))
+    return SimplicialComplex._of_sorted_rows(n, _cliques_from_adjacency(adj, max_dim))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import csv
 from contextlib import suppress
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -188,10 +189,12 @@ def fit_power_law(records, group_by_k: bool = False) -> PowerLawFit:
 
 
 def write_scaling_csv(result: ScalingResult, fh) -> None:
-    """One row per record; csv writes floats by repr, so they round-trip exactly."""
+    """One row per record, its fields read in header order; csv writes
+    floats by repr, so they round-trip exactly."""
+    names = SCALING_CSV_HEADER.split(",")
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(SCALING_CSV_HEADER.split(","))
-    writer.writerows(astuple(r) for r in result.records)
+    writer.writerow(names)
+    writer.writerows(map(attrgetter(*names), result.records))
 
 
 def spearman_gap_threshold(records) -> float:

@@ -22,6 +22,10 @@ its largest level, which sets the tolerance, and by Sylvester's law of
 inertia its count of levels below the tolerance is the count of negative
 pivots of one LDL^T of the Gram less tol * I.
 
+The Grams built here go straight to the eigensolver: they are square,
+finite and symmetric by construction.  ``spectrum()`` is for matrices from
+outside and checks all three first.
+
 scipy is imported only where it is called: by ``boundary_matrix``, the
 sparse integer boundary on which the chain-complex identity is checked and
 from which the Lanczos run's Gram is formed, by that Lanczos run and that
@@ -246,15 +250,17 @@ def boundary_spectrum(cx: SimplicialComplex, k: int) -> Spectrum:
     Its nonzero eigenvalues are the squared singular values of d_k, the
     nonzero spectrum of both Laplacian terms that d_k enters.  For k = 0
     and for a boundary with no k-simplices it is empty.  The Gram is built
-    here and nothing else holds it, so one of ``IN_PLACE_MIN_DIM`` levels
-    or more is solved in its own buffer: its transpose is the same symmetric
-    matrix in Fortran order, which LAPACK overwrites without a copy.
+    here, square, finite and symmetric, so it skips ``spectrum()``'s checks
+    for outside input and gets the same answer.  Nothing else holds it, so
+    one of ``IN_PLACE_MIN_DIM`` levels or more is solved in its own buffer:
+    its transpose is the same symmetric matrix in Fortran order, which
+    LAPACK overwrites without a copy.
     """
     if _gram_dim(cx, k) == 0:
         return _with_tolerance(np.empty(0))
     gram = _smaller_gram(cx, k)
     if len(gram) < IN_PLACE_MIN_DIM:
-        return spectrum(gram)
+        return _with_tolerance(np.linalg.eigvalsh(gram))
     import scipy.linalg
 
     return _with_tolerance(scipy.linalg.eigh(

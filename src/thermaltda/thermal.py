@@ -153,9 +153,10 @@ def beta_threshold(
         return 0.0
     lam = spec.eigenvalues[spec.eigenvalues > 0.0]
     log_target = math.log(criterion * m)
+    shifted = lam - lam[0]
     tau = 0.0
     for _ in range(MAX_NEWTON_STEPS):
-        lam_w = lam * np.exp(-tau * (lam - lam[0]))
+        lam_w = lam * np.exp(-tau * shifted)
         s1 = float(lam_w.sum())
         step = (math.log(s1) - tau * lam[0] - log_target) * s1 / float(lam_w @ lam)
         if step <= 1e-15 * tau:

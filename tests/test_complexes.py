@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from thermaltda.complexes import (
     CORPUS,
+    METRICS,
     PointCloud,
     PointCloudError,
     SimplicialComplex,
@@ -172,6 +173,46 @@ class TestRandomComplex:
         monkeypatch.setattr("thermaltda.complexes.MAX_SIMPLICES", 100)
         with pytest.raises(ValueError, match="exceeds 100 simplices"):
             random_complex(20, 0.9, 3, seed=0)
+
+
+class TestPackageBuiltComplexes:
+    """random_complex and build_clique_complex hand their enumerator's arrays
+    to the closure check without the row checks: the complex is the one the
+    checking constructor makes of the same rows."""
+
+    @staticmethod
+    def assert_checked(cx):
+        checked = SimplicialComplex(cx.n_vertices, {k: rows.tolist() for k, rows in cx.sets.items()})
+        assert type(cx.n_vertices) is int and cx.n_vertices == checked.n_vertices
+        for built, ref in ((cx.sets, checked.sets), (cx.faces, checked.faces)):
+            assert list(built) == list(ref)
+            for k, array in built.items():
+                assert array.flags.c_contiguous and not array.flags.writeable
+                np.testing.assert_array_equal(array, ref[k], strict=True)  # shape and int32 dtype too
+
+    @pytest.mark.parametrize("chunk", [7, 2**22])
+    def test_random_complex(self, monkeypatch, chunk):
+        """At a 7-entry chunk every dimension spans many mask chunks."""
+        monkeypatch.setattr("thermaltda.complexes.MAX_MASK_ENTRIES", chunk)
+        rng = np.random.default_rng(31)
+        for n in range(1, 15):
+            for p in (0.0, 0.3, 0.6, 1.0):
+                for max_dim in range(7):
+                    self.assert_checked(random_complex(n, p, max_dim, seed=int(rng.integers(2**32))))
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_build_clique_complex(self, metric):
+        rng = np.random.default_rng(32)
+        for n in range(1, 15):
+            cloud = PointCloud(rng.uniform(size=(n, int(rng.integers(1, 4)))))
+            for eps in (0.0, 0.3, 0.6, 2.0):
+                self.assert_checked(build_clique_complex(cloud, metric, eps, min(n - 1, 6)))
+
+    def test_closure_still_checked(self):
+        rows = {0: np.arange(3, dtype=np.int32)[:, None], 1: np.array([[0, 1]], dtype=np.int32),
+                2: np.array([[0, 1, 2]], dtype=np.int32)}
+        with pytest.raises(ValueError, match=r"face \(0, 2\) of \(0, 1, 2\) missing"):
+            SimplicialComplex._of_sorted_rows(3, rows)
 
 
 class TestSimplicialComplex:

@@ -24,6 +24,7 @@ from thermaltda.homology import (
     _gram_dim,
     _levels_below,
     _pivot_rows,
+    _smaller_gram,
 )
 
 HOLLOW_L1 = np.array([[2.0, 1.0, -1.0], [1.0, 2.0, 1.0], [-1.0, 1.0, 2.0]])
@@ -212,6 +213,21 @@ class TestHodgeSplit:
         for k in (0, cx.max_dim + 1):
             empty = boundary_spectrum(cx, k)
             assert empty.dim == 0 and empty.tol_kernel == 1e-8
+
+    def test_boundary_spectrum_is_the_checked_solve(self, corpus):
+        """The Gram that boundary_spectrum builds skips spectrum()'s checks
+        for outside input and gets spectrum()'s answer byte for byte."""
+        family = [
+            *corpus.values(),
+            *(t[0] for t in TOPOLOGY.values()),
+            *random_complex_family(30, max_vertices=10, seed=31),
+        ]
+        for i, cx in enumerate(family):
+            for j in range(1, cx.max_dim + 2):
+                got, want = boundary_spectrum(cx, j), spectrum(_smaller_gram(cx, j))
+                assert got.eigenvalues.dtype == want.eigenvalues.dtype, (i, j)
+                assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes(), (i, j)
+                assert got.tol_kernel == want.tol_kernel, (i, j)
 
     def test_tolerance_is_the_larger_side(self):
         small = Spectrum(eigenvalues=np.array([0.0, 2.0]), tol_kernel=1e-8)
