@@ -109,6 +109,19 @@ class TestCliqueComplex:
             assert set(cx1.simplices(k)) <= set(cx2.simplices(k))
 
 
+def assert_as_checked(cx):
+    """cx, built from enumerator arrays without the row checks, equals the
+    checking constructor's complex of the same rows, as read-only,
+    C-contiguous int32 arrays."""
+    checked = SimplicialComplex(cx.n_vertices, {k: rows.tolist() for k, rows in cx.sets.items()})
+    assert type(cx.n_vertices) is int and cx.n_vertices == checked.n_vertices
+    for built, ref in ((cx.sets, checked.sets), (cx.faces, checked.faces)):
+        assert list(built) == list(ref)
+        for k, array in built.items():
+            assert array.flags.c_contiguous and not array.flags.writeable
+            np.testing.assert_array_equal(array, ref[k], strict=True)  # shape and int32 dtype too
+
+
 class TestRandomComplex:
     def test_deterministic_per_seed(self):
         a = random_complex(10, 0.5, 3, seed=42)
@@ -135,20 +148,25 @@ class TestRandomComplex:
 
     @pytest.mark.parametrize("chunk", [7, 2**22])
     def test_cliques_match_combinations(self, monkeypatch, chunk):
-        """Mask expansion lists every clique of a seeded graph, in order; at a
+        """Mask expansion lists every clique of a seeded graph, in order, and
+        the complex is the checking constructor's of the same rows; at a
         7-entry chunk every dimension spans many chunks."""
         monkeypatch.setattr("thermaltda.complexes.MAX_MASK_ENTRIES", chunk)
         rng = np.random.default_rng(16)
-        for _ in range(40):
-            n, p = int(rng.integers(1, 13)), float(rng.uniform(0.2, 1.0))
-            cx = random_complex(n, p, 4, seed=int(rng.integers(2**32)))
+        draws = [(int(rng.integers(1, 13)), float(rng.uniform(0.2, 1.0)), 4, int(rng.integers(2**32)))
+                 for _ in range(40)]
+        draws += [(n, p, max_dim, int(rng.integers(2**32)))
+                  for n in range(1, 15) for p in (0.0, 0.3, 0.6, 1.0) for max_dim in range(7)]
+        for n, p, max_dim, seed in draws:
+            cx = random_complex(n, p, max_dim, seed)
             edges = set(cx.simplices(1))
-            assert cx.max_dim <= 4
-            for k in range(5):
+            assert cx.max_dim <= max_dim
+            for k in range(max_dim + 1):
                 assert cx.simplices(k) == [
                     s for s in itertools.combinations(range(n), k + 1)
                     if all(e in edges for e in itertools.combinations(s, 2))
                 ]
+            assert_as_checked(cx)
 
     @pytest.mark.parametrize("chunk", [7, 64, 2**22])
     def test_edges_match_one_shot_draw(self, monkeypatch, chunk):
@@ -176,29 +194,9 @@ class TestRandomComplex:
 
 
 class TestPackageBuiltComplexes:
-    """random_complex and build_clique_complex hand their enumerator's arrays
-    to the closure check without the row checks: the complex is the one the
-    checking constructor makes of the same rows."""
-
-    @staticmethod
-    def assert_checked(cx):
-        checked = SimplicialComplex(cx.n_vertices, {k: rows.tolist() for k, rows in cx.sets.items()})
-        assert type(cx.n_vertices) is int and cx.n_vertices == checked.n_vertices
-        for built, ref in ((cx.sets, checked.sets), (cx.faces, checked.faces)):
-            assert list(built) == list(ref)
-            for k, array in built.items():
-                assert array.flags.c_contiguous and not array.flags.writeable
-                np.testing.assert_array_equal(array, ref[k], strict=True)  # shape and int32 dtype too
-
-    @pytest.mark.parametrize("chunk", [7, 2**22])
-    def test_random_complex(self, monkeypatch, chunk):
-        """At a 7-entry chunk every dimension spans many mask chunks."""
-        monkeypatch.setattr("thermaltda.complexes.MAX_MASK_ENTRIES", chunk)
-        rng = np.random.default_rng(31)
-        for n in range(1, 15):
-            for p in (0.0, 0.3, 0.6, 1.0):
-                for max_dim in range(7):
-                    self.assert_checked(random_complex(n, p, max_dim, seed=int(rng.integers(2**32))))
+    """build_clique_complex, like random_complex, hands its enumerator's
+    arrays to the closure check without the row checks: the complex is the
+    one the checking constructor makes of the same rows."""
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_build_clique_complex(self, metric):
@@ -206,7 +204,7 @@ class TestPackageBuiltComplexes:
         for n in range(1, 15):
             cloud = PointCloud(rng.uniform(size=(n, int(rng.integers(1, 4)))))
             for eps in (0.0, 0.3, 0.6, 2.0):
-                self.assert_checked(build_clique_complex(cloud, metric, eps, min(n - 1, 6)))
+                assert_as_checked(build_clique_complex(cloud, metric, eps, min(n - 1, 6)))
 
     def test_closure_still_checked(self):
         rows = {0: np.arange(3, dtype=np.int32)[:, None], 1: np.array([[0, 1]], dtype=np.int32),
