@@ -15,23 +15,21 @@ Betti numbers come from two independent routes that must agree: the kernel
 dimension of the Laplacian spectrum, under a float tolerance, and the
 rank-nullity count, whose ranks are exact: a column reduction of the face
 tables mod the prime 2^31 - 1, with clearing.  A rank mod p can only fall
-below the rational rank, so p-torsion would show as a disagreement.  The
-kernel dimension alone (``laplacian_kernel``) needs no full eigensolve of a
-Gram of ``INERTIA_MIN_DIM`` levels or more: Lanczos on the sparse Gram gives
-its largest level, which sets the tolerance, and by Sylvester's law of
-inertia its count of levels below the tolerance is the count of negative
-pivots of one LDL^T of the Gram less tol * I.
+below the rational rank, so p-torsion would show as a disagreement.
 
-The Grams built here go straight to the eigensolver: they are square,
-finite and symmetric by construction.  ``spectrum()`` is for matrices from
-outside and checks all three first.
-
-scipy is imported only where it is called: by ``boundary_matrix``, the
-sparse integer boundary on which the chain-complex identity is checked and
-from which the Lanczos run's Gram is formed, by that Lanczos run and that
-LDL^T, and by ``boundary_spectrum`` for
-a Gram of at least ``IN_PLACE_MIN_DIM`` levels, which LAPACK solves in the
-Gram's own buffer.
+One function asks each boundary for its levels and picks the backend by
+the Gram's size.  The Grams built here are square, finite and symmetric by
+construction and go straight to the eigensolver; ``spectrum()`` is for
+matrices from outside and checks all three first.  numpy solves a copy of
+a Gram below ``IN_PLACE_MIN_DIM`` levels, and LAPACK a larger one in the
+Gram's own buffer, through scipy.  The kernel dimension alone
+(``laplacian_kernel``) solves no Gram of ``INERTIA_MIN_DIM`` levels or
+more: Lanczos on the sparse Gram gives its largest level, which sets the
+tolerance, and by Sylvester's law of inertia its count of levels below the
+tolerance is the count of negative pivots of one LDL^T of the Gram less
+tol * I.  scipy is imported only by these large-Gram steps and by
+``boundary_matrix``, the sparse integer boundary on which the chain-complex
+identity is checked and from which the Lanczos run's Gram is formed.
 """
 
 from __future__ import annotations
@@ -61,11 +59,11 @@ IN_PLACE_MIN_DIM = 2_700
 # 1,502, 0.983 at 1,505, 0.909 at 1,568 and 0.515 at 2,054
 INERTIA_MIN_DIM = 1_500
 # a query's largest array is a boundary's smaller Gram, at most m x m and solved or
-# factored in place: at m = 6,553 (random_complex(36, 0.7, 4, 7), k = 3, a 344 MB
-# Gram) a thermal betti query took 13.4-13.8 s at a 392 MB peak RSS on a 2-core VM,
-# which by m^3 and m^2 puts the cap near 27 s and 0.6 GB (an estimate), and an exact
-# one, which counts the kernel by inertia, 2.3 s at 396 MB; the cap is 2.1x the
-# m = 3841 of the k = 3 Laplacian of random_complex(40, 0.6, 4, 1)
+# factored in place: at m = 7,996 (random_complex(37, 0.7, 4, 3), k = 3, a 512 MB
+# Gram) a thermal betti query took 27.9-30.3 s at a 552 MB peak RSS, and an exact
+# one, which counts the kernel by inertia, 3.9-4.1 s at 557 MB (three one-shot runs
+# each, the child's ru_maxrss, 2-core VM); the cap is 2.1x the m = 3841 of the
+# k = 3 Laplacian of random_complex(40, 0.6, 4, 1)
 MAX_LAPLACIAN_DIM = 8_192
 
 
@@ -188,8 +186,8 @@ def combinatorial_laplacian(cx: SimplicialComplex, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues of a Laplacian or a boundary's Gram matrix, with
-    kernel count under tolerance."""
+    """Ascending eigenvalues of a Laplacian or of a matrix given to
+    ``spectrum()``, with kernel count under tolerance."""
 
     eigenvalues: np.ndarray
     tol_kernel: float
@@ -204,11 +202,16 @@ class Spectrum:
         return int(np.count_nonzero(self.eigenvalues < self.tol_kernel))
 
 
+def _tolerance(top: float) -> float:
+    """Kernel tolerance under a largest level ``top``: 1e-8 * max(1, top),
+    relative, so rescaled complexes classify identically."""
+    return KERNEL_TOL_FACTOR * max(1.0, top)
+
+
 def _with_tolerance(evals: np.ndarray, evecs: np.ndarray | None = None) -> Spectrum:
-    """Ascending eigenvalues with their kernel tolerance, 1e-8 * max(1,
-    largest eigenvalue); an empty spectrum takes 1e-8."""
-    top = float(evals[-1]) if evals.size else 0.0
-    return Spectrum(evals, KERNEL_TOL_FACTOR * max(1.0, top), evecs)
+    """Ascending eigenvalues with their kernel tolerance; an empty spectrum
+    takes 1e-8."""
+    return Spectrum(evals, _tolerance(float(evals[-1]) if evals.size else 0.0), evecs)
 
 
 def spectrum(laplacian: np.ndarray, with_vectors: bool = False) -> Spectrum:
@@ -218,9 +221,11 @@ def spectrum(laplacian: np.ndarray, with_vectors: bool = False) -> Spectrum:
     The kernel tolerance is relative, 1e-8 * max(1, largest eigenvalue), so
     rescaled complexes classify identically; a 0 x 0 matrix has the empty
     spectrum, with tolerance 1e-8.  Raises ValueError on a matrix that is
-    not square, not finite or not symmetric, and numpy.linalg.LinAlgError
-    if the eigensolver fails to converge.
+    complex, not square, not finite or not symmetric, and
+    numpy.linalg.LinAlgError if the eigensolver fails to converge.
     """
+    if np.iscomplexobj(laplacian):
+        raise ValueError("laplacian must be real")
     laplacian = np.asarray(laplacian, dtype=float)
     if laplacian.ndim != 2 or laplacian.shape[0] != laplacian.shape[1]:
         raise ValueError("laplacian must be square")
@@ -244,54 +249,61 @@ def _smaller_gram(cx: SimplicialComplex, k: int) -> np.ndarray:
     return face_gram(cx, k) if cx.num_simplices(k - 1) <= cx.num_simplices(k) else simplex_gram(cx, k)
 
 
-def boundary_spectrum(cx: SimplicialComplex, k: int) -> Spectrum:
-    """Spectrum of the smaller Gram matrix of d_k, d_k d_k^T or d_k^T d_k.
+def _boundary_levels(cx: SimplicialComplex, k: int, counts_only: bool = False) -> tuple[float, np.ndarray | None]:
+    """Top level and ascending levels of the smaller Gram matrix of d_k,
+    whose nonzero levels are the nonzero spectrum of both Laplacian terms
+    that d_k enters: 0 and no levels for k = 0 or no k-simplices.
 
-    Its nonzero eigenvalues are the squared singular values of d_k, the
-    nonzero spectrum of both Laplacian terms that d_k enters.  For k = 0
-    and for a boundary with no k-simplices it is empty.  The Gram is built
-    here, square, finite and symmetric, so it skips ``spectrum()``'s checks
-    for outside input and gets the same answer.  Nothing else holds it, so
-    one of ``IN_PLACE_MIN_DIM`` levels or more is solved in its own buffer:
-    its transpose is the same symmetric matrix in Fortran order, which
-    LAPACK overwrites without a copy.
+    Nothing else holds the Gram, so one of ``IN_PLACE_MIN_DIM`` levels or
+    more is solved in its own buffer: its transpose is the same symmetric
+    matrix in Fortran order, which LAPACK overwrites without a copy.  With
+    ``counts_only`` one of ``INERTIA_MIN_DIM`` levels or more is left
+    unsolved (None), its top from ``_top_level``.
     """
-    if _gram_dim(cx, k) == 0:
-        return _with_tolerance(np.empty(0))
+    m = _gram_dim(cx, k)
+    if m == 0:
+        return 0.0, np.empty(0)
+    if counts_only and m >= INERTIA_MIN_DIM:
+        return _top_level(cx, k), None
     gram = _smaller_gram(cx, k)
-    if len(gram) < IN_PLACE_MIN_DIM:
-        return _with_tolerance(np.linalg.eigvalsh(gram))
-    import scipy.linalg
+    if m < IN_PLACE_MIN_DIM:
+        levels = np.linalg.eigvalsh(gram)
+    else:
+        import scipy.linalg
 
-    return _with_tolerance(scipy.linalg.eigh(
-        gram.T, eigvals_only=True, overwrite_a=True, check_finite=False, driver="evd"
-    ))
+        levels = scipy.linalg.eigh(gram.T, eigvals_only=True, overwrite_a=True, check_finite=False, driver="evd")
+    return float(levels[-1]), levels
 
 
-def hodge_spectrum(m: int, down: Spectrum, up: Spectrum) -> Spectrum:
-    """Spectrum of L_k on m simplices from those of d_k (down) and d_{k+1} (up).
+def _hodge_split(cx: SimplicialComplex, ks, counts_only: bool = False) -> dict[int, tuple[int, float, np.ndarray]]:
+    """Kernel dimension, tolerance and ascending nonzero levels of the
+    k-Laplacian for each k in ks, as ``laplacian_spectra`` describes.
 
-    The tolerance is that of the full Laplacian, whose largest eigenvalue is
-    the larger of the two boundaries'.  The eigenvalues at or above it from
-    either side are kept, and the other places are exact zeros.
+    The tolerance is that of the whole Laplacian, whose top level is the
+    larger of its two boundaries'.  Their levels at or above it are kept.
+    An unsolved Gram has them counted by ``_levels_below`` once every top
+    is known, so one dense Gram at a time is built.
     """
-    tol = max(down.tol_kernel, up.tol_kernel)
-    kept = np.concatenate([s.eigenvalues[s.eigenvalues >= tol] for s in (down, up)])
-    evals = np.concatenate([np.zeros(m - kept.size), np.sort(kept)])
-    return Spectrum(eigenvalues=evals, tol_kernel=tol)
+    dims = {k: laplacian_dim(cx, k) for k in ks}
+    bounds = {j: _boundary_levels(cx, j, counts_only) for j in {j for k in dims for j in (k, k + 1)}}
+    split = {}
+    for k, m in dims.items():
+        tol = _tolerance(max(bounds[k][0], bounds[k + 1][0]))
+        sides = [(j, bounds[j][1]) for j in (k, k + 1)]
+        kept = np.sort(np.concatenate([np.empty(0), *(s[s >= tol] for _, s in sides if s is not None)]))
+        counted = sum(_gram_dim(cx, j) - _levels_below(_smaller_gram(cx, j), tol) for j, s in sides if s is None)
+        split[k] = (m - kept.size - counted, tol, kept)
+    return split
 
 
 def laplacian_spectra(cx: SimplicialComplex, ks) -> dict[int, Spectrum]:
     """Ascending spectrum of the k-Laplacian for each k in ks, in order,
-    through the Hodge split; no Laplacian is assembled.
-
-    The size checks of ``laplacian_dim`` run on every k before any Gram
-    matrix is built, and each boundary is solved once, for both Laplacians
-    it enters.
+    through the Hodge split; no Laplacian is assembled.  The size checks of
+    ``laplacian_dim`` run on every k before any Gram matrix is built, and
+    each boundary is solved once, for both Laplacians it enters.
     """
-    dims = {k: laplacian_dim(cx, k) for k in ks}
-    bounds = {j: boundary_spectrum(cx, j) for j in {j for k in dims for j in (k, k + 1)}}
-    return {k: hodge_spectrum(m, bounds[k], bounds[k + 1]) for k, m in dims.items()}
+    split = _hodge_split(cx, ks)
+    return {k: Spectrum(np.concatenate([np.zeros(kernel), kept]), tol) for k, (kernel, tol, kept) in split.items()}
 
 
 def laplacian_spectrum(cx: SimplicialComplex, k: int) -> Spectrum:
@@ -344,26 +356,12 @@ def _levels_below(gram: np.ndarray, tol: float) -> int:
 
 
 def laplacian_kernel(cx: SimplicialComplex, k: int) -> tuple[int, float]:
-    """Kernel dimension of the k-Laplacian and its tolerance: the
-    ``kernel_dim`` and ``tol_kernel`` of ``laplacian_spectrum(cx, k)``,
-    without a full eigensolve of a large Gram.
-
-    Through the Hodge split, the kernel is m_k less the levels at or above
-    the tolerance in the smaller Grams of d_k and d_{k+1}, and the tolerance
-    is 1e-8 * max(1, largest level of either).  A Gram of fewer than
-    ``INERTIA_MIN_DIM`` levels is solved by ``boundary_spectrum``.  A larger
-    one gives its largest level to ``_top_level`` and, once the tolerance is
-    known, its count below it to ``_levels_below``, so one dense Gram at a
-    time is built.  The size checks of ``laplacian_dim`` run first.
+    """The ``kernel_dim`` and ``tol_kernel`` of ``laplacian_spectrum(cx, k)``,
+    through the same split, without solving a Gram of ``INERTIA_MIN_DIM``
+    levels or more.  The size checks of ``laplacian_dim`` run first.
     """
-    m = laplacian_dim(cx, k)
-    large = [j for j in (k, k + 1) if _gram_dim(cx, j) >= INERTIA_MIN_DIM]
-    small = [boundary_spectrum(cx, j) for j in (k, k + 1) if j not in large]
-    tops = [float(s.eigenvalues[-1]) for s in small if s.dim] + [_top_level(cx, j) for j in large]
-    tol = KERNEL_TOL_FACTOR * max([1.0, *tops])
-    kept = sum(int(np.count_nonzero(s.eigenvalues >= tol)) for s in small)
-    kept += sum(_gram_dim(cx, j) - _levels_below(_smaller_gram(cx, j), tol) for j in large)
-    return m - kept, tol
+    kernel, tol, _ = _hodge_split(cx, (k,), counts_only=True)[k]
+    return kernel, tol
 
 
 def betti_exact_kernel(spec: Spectrum) -> int:

@@ -63,7 +63,8 @@ class TestScalingExperiment:
         the two Laplacians it enters, not one per (instance, k); the records
         are those of solving each (instance, k) on its own.  The Grams, all
         below IN_PLACE_MIN_DIM, are solved by numpy's eigvalsh straight from
-        boundary_spectrum, so that is where the solves are counted."""
+        the Hodge split's per-boundary solve, so that is where the solves are
+        counted."""
         import thermaltda.experiments as experiments
 
         solved, drawn = [], []

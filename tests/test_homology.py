@@ -6,25 +6,24 @@ from conftest import CORPUS_BETTI, TOPOLOGY, random_complex_family, svd_rank
 from thermaltda.complexes import from_simplices, random_complex
 from thermaltda.homology import (
     EmptySimplexSetError,
-    Spectrum,
     ZeroSpectrumError,
     betti_exact_kernel,
     betti_exact_rank,
     boundary_matrix,
-    boundary_spectrum,
     combinatorial_laplacian,
     face_gram,
-    hodge_spectrum,
     laplacian_kernel,
     laplacian_spectra,
     laplacian_spectrum,
     simplex_gram,
     spectral_gap,
     spectrum,
+    _boundary_levels,
     _gram_dim,
     _levels_below,
     _pivot_rows,
     _smaller_gram,
+    _tolerance,
 )
 
 HOLLOW_L1 = np.array([[2.0, 1.0, -1.0], [1.0, 2.0, 1.0], [-1.0, 1.0, 2.0]])
@@ -206,16 +205,17 @@ class TestHodgeSplit:
         np.testing.assert_allclose(spec.eigenvalues, [0.0, 3.0, 3.0], atol=1e-12)
         assert spec.eigenvalues[0] == 0.0 and spec.kernel_dim == 1
 
-    def test_boundary_spectrum_solves_the_smaller_gram(self, corpus):
+    def test_boundary_levels_solve_the_smaller_gram(self, corpus):
         cx = random_complex(9, 0.8, 4, 3)
         for k in range(1, cx.max_dim + 1):
-            assert boundary_spectrum(cx, k).dim == min(cx.num_simplices(k - 1), cx.num_simplices(k))
+            top, levels = _boundary_levels(cx, k)
+            assert levels.size == min(cx.num_simplices(k - 1), cx.num_simplices(k)) and top == levels[-1]
         for k in (0, cx.max_dim + 1):
-            empty = boundary_spectrum(cx, k)
-            assert empty.dim == 0 and empty.tol_kernel == 1e-8
+            top, empty = _boundary_levels(cx, k)
+            assert empty.size == 0 and _tolerance(top) == 1e-8
 
-    def test_boundary_spectrum_is_the_checked_solve(self, corpus):
-        """The Gram that boundary_spectrum builds skips spectrum()'s checks
+    def test_boundary_levels_are_the_checked_solve(self, corpus):
+        """The Gram that _boundary_levels builds skips spectrum()'s checks
         for outside input and gets spectrum()'s answer byte for byte."""
         family = [
             *corpus.values(),
@@ -224,17 +224,23 @@ class TestHodgeSplit:
         ]
         for i, cx in enumerate(family):
             for j in range(1, cx.max_dim + 2):
-                got, want = boundary_spectrum(cx, j), spectrum(_smaller_gram(cx, j))
-                assert got.eigenvalues.dtype == want.eigenvalues.dtype, (i, j)
-                assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes(), (i, j)
-                assert got.tol_kernel == want.tol_kernel, (i, j)
+                (top, got), want = _boundary_levels(cx, j), spectrum(_smaller_gram(cx, j))
+                assert got.dtype == want.eigenvalues.dtype, (i, j)
+                assert got.tobytes() == want.eigenvalues.tobytes(), (i, j)
+                assert _tolerance(top) == want.tol_kernel, (i, j)
 
-    def test_tolerance_is_the_larger_side(self):
-        small = Spectrum(eigenvalues=np.array([0.0, 2.0]), tol_kernel=1e-8)
-        large = Spectrum(eigenvalues=np.array([1e-9, 5.0, 500.0]), tol_kernel=5e-6)
-        spec = hodge_spectrum(4, small, large)
+    def test_tolerance_is_the_larger_side(self, monkeypatch):
+        """Both routes read one split: a level of either boundary below the
+        larger side's tolerance joins the kernel."""
+        import thermaltda.homology as homology
+
+        sides = {0: np.array([0.0, 2.0]), 1: np.array([1e-9, 5.0, 500.0])}
+        monkeypatch.setattr(homology, "_boundary_levels", lambda cx, j, counts_only=False: (sides[j][-1], sides[j]))
+        cx = from_simplices(4, [])
+        spec = laplacian_spectra(cx, [0])[0]
         np.testing.assert_array_equal(spec.eigenvalues, [0.0, 2.0, 5.0, 500.0])
         assert spec.tol_kernel == 5e-6 and spec.kernel_dim == 1
+        assert laplacian_kernel(cx, 0) == (1, 5e-6)
 
     def test_zero_laplacian(self):
         spec = laplacian_spectrum(from_simplices(3, []), 0)
@@ -257,8 +263,8 @@ class TestHodgeSplit:
         import thermaltda.homology as homology
 
         solved = []
-        solve = homology.boundary_spectrum
-        monkeypatch.setattr(homology, "boundary_spectrum", lambda cx, j: solved.append(j) or solve(cx, j))
+        solve = homology._boundary_levels
+        monkeypatch.setattr(homology, "_boundary_levels", lambda cx, j, *a: solved.append(j) or solve(cx, j, *a))
         laplacian_spectra(random_complex(8, 0.7, 3, 5), [3, 1, 2, 1])
         assert sorted(solved) == [1, 2, 3, 4]
 
@@ -302,8 +308,11 @@ class TestSpectrum:
         assert spectrum(lap).kernel_dim == 1
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        """Not real symmetric: an asymmetric matrix, and a Hermitian one whose
+        imaginary part a float conversion would drop (its levels are +-1)."""
+        for bad in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0, 1j], [-1j, 0]])):
+            with pytest.raises(ValueError):
+                spectrum(bad)
 
     def test_empty_matrix(self):
         """A 0 x 0 matrix has the empty spectrum, with the tolerance of an
@@ -311,7 +320,7 @@ class TestSpectrum:
         for with_vectors in (False, True):
             spec = spectrum(np.zeros((0, 0)), with_vectors=with_vectors)
             assert spec.dim == 0 and spec.kernel_dim == 0
-            assert spec.tol_kernel == boundary_spectrum(from_simplices(1, []), 0).tol_kernel == 1e-8
+            assert spec.tol_kernel == _tolerance(_boundary_levels(from_simplices(1, []), 0)[0]) == 1e-8
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_rejected(self, bad):
