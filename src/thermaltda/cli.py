@@ -11,6 +11,7 @@ numerical failure.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 
 import click
@@ -32,6 +33,7 @@ from .homology import (
     combinatorial_laplacian,
     laplacian_kernel,
     laplacian_spectrum,
+    spectral_gap,
 )
 from .swaptest import betti_swap
 from .thermal import (
@@ -112,9 +114,16 @@ def _read_complex(input_path, corpus_name) -> SimplicialComplex:
 
 
 def _default_beta(spec, criterion: float) -> float:
-    """4x the cooling threshold; 1.0 with a warning for an all-zero spectrum."""
+    """max(4x the cooling threshold, ln(5m)/gap); 1.0 with a warning for an all-zero spectrum.
+
+    From beta = ln(5m)/gap the levels above the kernel weigh at most S = m e^{-beta gap}
+    <= 1/5 in all, so the inverse purity lies in [b, b + 2S + S^2]: its excess over the
+    Betti number b is below 0.44, under 1 - guard for every guard below 1/2, and
+    z_norm <= S/m when b = 0.  The floor and the trivial-kernel test are then both right,
+    whatever b is.  The max keeps 4x the threshold wherever that is already cold enough.
+    """
     try:
-        return 4.0 * beta_threshold(spec, spec.dim, criterion)
+        return max(4.0 * beta_threshold(spec, spec.dim, criterion), math.log(5 * spec.dim) / spectral_gap(spec))
     except ZeroSpectrumError:
         click.echo("warning: zero Laplacian, using beta = 1.0", err=True)
         return 1.0
@@ -176,7 +185,7 @@ def cmd_random_complex(n, edge_prob, max_dim, seed, out_path):
 @click.option("--corpus", "corpus_name", type=click.Choice(sorted(CORPUS)), default=None)
 @click.option("--k", type=click.IntRange(min=0), required=True)
 @click.option("--method", type=click.Choice(["exact", "thermal", "swap"]), default="exact", show_default=True)
-@click.option("--beta", type=BETA, default=None, help="inverse temperature (default: 4x threshold)")
+@click.option("--beta", type=BETA, default=None, help="inverse temperature (default: max(4x threshold, ln(5m)/gap))")
 @click.option("--criterion", type=POSITIVE, default=DEFAULT_CRITERION, show_default=True)
 @click.option("--guard", type=FLOOR_GUARD, default=DEFAULT_FLOOR_GUARD, show_default=True)
 # Generator.binomial takes at most 2**63 - 1 trials

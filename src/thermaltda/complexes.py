@@ -34,11 +34,11 @@ MAX_SIMPLICES = 1_000_000
 # of random_complex(4096, 0.1, 2, 0) would ask for a 3.2 GiB mask.
 MAX_MASK_ENTRIES = 2**22
 # Bound on n^2 * d for a cloud of n points in R^d: the pairwise distances
-# hold two n x n x d float64 temporaries, 134 MB each at the cap.  Peak RSS
-# of build-complex at the cap, run in-process on sparse clouds, was 421 MB at
-# d = 1 (4,096 points, where the n x n distances add most) and 336 MB at
-# d = 3 (2,364 points) on a 2-core VM.  The benchmark's clouds have at most
-# 14 points.
+# hold two n x n x d float64 temporaries, 134 MB each at the cap.  A one-shot
+# build-complex at the cap, on a sparse seeded cloud at --max-dim 2, took
+# 0.47-0.72 s at a 415 MB peak RSS at d = 1 (4,096 points, where the n x n
+# distances add most) and 0.48-0.50 s at 329 MB at d = 3 (2,364 points), three
+# runs each on a 2-core VM.  The benchmark's clouds have at most 14 points.
 MAX_DISTANCE_ENTRIES = 2**24
 
 

@@ -18,8 +18,10 @@ eigenvector is the canonical purification exactly.
 Basis: D is held in H's eigenbasis V, where each jump's frequency component
 factors (see build_discriminant): it is K^dagger D_c K, for the discriminant
 D_c in the computational basis and K = kron(V, conj V), and only its top
-eigenvector X~ is rotated out, to V X~ V^dagger; annealing_path rotates it only
-for its fidelities and reads the rest of its report in H's eigenbasis.
+eigenvector X~ is rotated out, to V X~ V^dagger.  annealing_path solves H once per
+path: one eigh gives the grid's coverage, the jumps rotated into V, every point's D
+and both fidelity readings; it rotates X~ out only for its fidelities and reads the
+rest of its report in H's eigenbasis.
 
 Real form: S swaps the two copies, p = i*dim + k -> k*dim + i.  Swapping the
 factors of a coherent term, a real rate times A (x) conj(A), or of the decay
@@ -94,8 +96,8 @@ def make_grid(norm_h: float, m_points: int) -> FrequencyGrid:
     omega0 = 2 norm_h / M makes the frequency range [-norm_h, norm_h);
     t0 follows from omega0 t0 = 2 pi / M.
     """
-    if norm_h <= 0.0:
-        raise ValueError("norm_h must be positive")
+    if not 0.0 < norm_h < math.inf:
+        raise ValueError("norm_h must be positive and finite")
     if m_points < 4 or m_points % 2:
         raise ValueError("m_points must be even and >= 4")
     omega0 = 2.0 * norm_h / m_points
@@ -104,7 +106,8 @@ def make_grid(norm_h: float, m_points: int) -> FrequencyGrid:
 
 
 def bohr_coverage(hamiltonian: np.ndarray) -> float:
-    """Coverage bound for make_grid: BOHR_MARGIN times the full level-spacing width."""
+    """Coverage bound for make_grid: BOHR_MARGIN times the full level-spacing width,
+    the rule annealing_path applies to the levels of its one eigensolve of H."""
     evals = np.linalg.eigvalsh(hamiltonian)
     return BOHR_MARGIN * float(evals[-1] - evals[0])
 
@@ -119,7 +122,7 @@ class GaussianWindow:
 
 def gaussian_window(grid: FrequencyGrid, sigma_t: float) -> GaussianWindow:
     """Gaussian weights exp(-t^2/(4 sigma_t^2)) on the time grid, normalized."""
-    if sigma_t <= 0.0:
+    if not sigma_t > 0.0:
         raise ValueError("sigma_t must be positive")
     f = np.exp(-grid.times**2 / (4.0 * sigma_t**2))
     return GaussianWindow(weights=f / np.linalg.norm(f), sigma_t=sigma_t)
@@ -182,8 +185,8 @@ def operator_fourier(
 
 def metropolis_weight(omega: float, beta: float) -> float:
     """Acceptance rate min(1, e^{beta omega}); cooling transitions pass freely."""
-    if beta < 0.0:
-        raise ValueError("beta must be >= 0")
+    if not 0.0 <= beta < math.inf:  # NaN fails it too
+        raise ValueError("beta must be >= 0 and finite")
     return min(1.0, math.exp(min(beta * omega, 0.0)))
 
 
@@ -260,6 +263,14 @@ def pad_hamiltonian(laplacian: np.ndarray) -> np.ndarray:
     return out
 
 
+def _eigensystem(hamiltonian: np.ndarray, jumps: JumpSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """H's levels and eigenvectors V and the jumps in V, axes (a, p, p'); the cap is
+    checked before the eigensolve."""
+    _check_doubled_dim(len(hamiltonian))
+    evals, evecs = np.linalg.eigh(hamiltonian)
+    return evals, evecs, evecs.conj().T @ np.asarray(jumps.operators) @ evecs
+
+
 def build_discriminant(
     hamiltonian: np.ndarray,
     jumps: JumpSet,
@@ -283,18 +294,28 @@ def build_discriminant(
     coherent term is the entrywise product of a J-wide and an M-wide Gram,
     not one (J M)-wide Gram.  D is kept in that basis (see DiscriminantModel).
     """
-    dim = hamiltonian.shape[0]
-    _check_doubled_dim(dim)
-    evals, evecs = np.linalg.eigh(hamiltonian)
+    evals, evecs, in_basis = _eigensystem(hamiltonian, jumps)
+    return DiscriminantModel(hamiltonian, beta, _discriminant(evals, in_basis, grid, window, beta), evals, evecs)
+
+
+def _discriminant(
+    evals: np.ndarray,
+    in_basis: np.ndarray,
+    grid: FrequencyGrid,
+    window: GaussianWindow,
+    beta: float,
+) -> np.ndarray:
+    """D in H's eigenbasis (see build_discriminant), from H's levels and the jumps
+    rotated into its eigenvectors, in_basis[a] = V^dagger A_a V."""
+    dim = len(evals)
     gammas = metropolis_weights(grid, beta)
     gammas_neg = np.array([metropolis_weight(-w, beta) for w in grid.omegas])
     sym_rates = np.sqrt(gammas * gammas_neg)
     decay_rates = gammas.copy()
     decay_rates[0] = sym_rates[0]
     # 1/M (the 1/sqrt M of A and of conj A) and D's 1/J ride on the rates
-    scale = 1.0 / (grid.m_points * len(jumps.operators))
+    scale = 1.0 / (grid.m_points * len(in_basis))
     smear = _smear(evals, grid, window)  # axes (omega, p, p')
-    in_basis = evecs.conj().T @ np.asarray(jumps.operators) @ evecs  # axes (a, p, p')
     # decay term N = sum rate A^dagger A: over row p, the jumps' Gram of row p
     # times the rated smears' Gram of row p, entrywise
     jump_rows, smear_rows = in_basis.transpose(1, 0, 2), smear.transpose(1, 0, 2)
@@ -320,7 +341,7 @@ def build_discriminant(
     # reorder in place to ((p, q), (p', q')), one p-block of axes (p', q, q') at a time
     for block in blocks:
         block[...] = block.transpose(1, 0, 2).copy()
-    return DiscriminantModel(hamiltonian, beta, d_tilde, evals, evecs)
+    return d_tilde
 
 
 def _hermiticity_defect(d_matrix: np.ndarray) -> float:
@@ -341,9 +362,9 @@ def canonical_purification_vector(hamiltonian: np.ndarray, beta: float) -> np.nd
     return sqrt_gibbs(*np.linalg.eigh(hamiltonian), beta).reshape(-1)
 
 
-def _fidelity(vec: np.ndarray, model: DiscriminantModel, beta: float) -> float:
-    """Squared overlap of vec with the purification of the model's H at beta."""
-    target = sqrt_gibbs(model.h_eigenvalues, model.h_eigenvectors, beta).reshape(-1)
+def _fidelity(vec: np.ndarray, evals: np.ndarray, evecs: np.ndarray, beta: float) -> float:
+    """Squared overlap of vec with the purification at beta of the H of this eigensystem."""
+    target = sqrt_gibbs(evals, evecs, beta).reshape(-1)
     return float(abs(np.vdot(vec, target)) ** 2)
 
 
@@ -407,7 +428,7 @@ def top_eigenvector(model: DiscriminantModel) -> tuple[float, StateVector, float
     val, vec = _top_eigenpair(model.d_matrix)
     evecs = model.h_eigenvectors
     x = evecs @ vec.reshape(dim, dim) @ evecs.conj().T
-    fid = _fidelity(x.reshape(-1), model, model.beta)
+    fid = _fidelity(x.reshape(-1), model.h_eigenvalues, evecs, model.beta)
     x = np.pad(x, (0, (1 << (dim - 1).bit_length()) - dim))
     return 1.0 + val, StateVector(x.reshape(-1)), fid
 
@@ -445,8 +466,10 @@ def annealing_path(
     each step being solved to a 1e-12 residual.  The purification fidelity is recorded
     at beta and at beta/2 (the two normalization readings of the target).
 
-    H, and so its eigenbasis V, is the same at every point, so the path stays there:
-    each Lanczos run starts from the previous point's eigenvector X~, and consecutive
+    H, and so its eigenbasis V, is the same at every point, so the path solves H once
+    and stays in V: the grid's coverage, every point's D and both fidelity readings
+    come from that one eigensystem, and the jumps are rotated into V once.  Each
+    Lanczos run starts from the previous point's eigenvector X~, and consecutive
     overlaps are |<X~_prev, X~>|^2, those of X = V X~ V^dagger as V is unitary.  On the
     default 6-point schedule of the octahedron's 12 edge levels at grid 32 the six
     solves take 128 Lanczos steps where cold starts take 148.
@@ -455,28 +478,26 @@ def annealing_path(
     if not betas or betas[0] != 0.0 or any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("schedule must start at 0 and strictly increase")
     dim = len(hamiltonian)
-    grid = make_grid(bohr_coverage(hamiltonian), m_points)
+    evals, evecs, in_basis = _eigensystem(hamiltonian, jumps)
+    grid = make_grid(BOHR_MARGIN * float(evals[-1] - evals[0]), m_points)
     steps: list[AnnealingStep] = []
     prev = None
     for beta in betas:
         window = gaussian_window(grid, default_sigma_t(beta, grid))
-        model = build_discriminant(hamiltonian, jumps, grid, window, beta)
-        val, vec = _top_eigenpair(model.d_matrix, start=prev)
-        evecs = model.h_eigenvectors
+        # D lives only through the solve, so no two points' D are held at once
+        val, vec = _top_eigenpair(_discriminant(evals, in_basis, grid, window, beta), start=prev)
         x = (evecs @ vec.reshape(dim, dim) @ evecs.conj().T).reshape(-1)
         steps.append(
             AnnealingStep(
                 beta=beta,
                 sigma_t=window.sigma_t,
                 top_eigenvalue=1.0 + val,
-                fidelity=_fidelity(x, model, beta),
-                fidelity_half_beta=_fidelity(x, model, beta / 2.0),
+                fidelity=_fidelity(x, evals, evecs, beta),
+                fidelity_half_beta=_fidelity(x, evals, evecs, beta / 2.0),
                 overlap_prev=None if prev is None else float(abs(np.vdot(prev, vec)) ** 2),
             )
         )
         prev = vec
-        # freed before the next build, which would hold this D beside its own
-        del model
     overlaps = [s.overlap_prev for s in steps if s.overlap_prev is not None]
     return AnnealingReport(
         grid=grid,

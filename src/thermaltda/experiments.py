@@ -107,18 +107,13 @@ def scaling_experiment(
 
 @dataclass(frozen=True)
 class FitLine:
+    """One least-squares line; the fields are its keys in the fit JSON."""
+
     slope: float
     slope_se: float  # standard error of the slope, from the residuals
     intercept: float
-    r_squared: float
-    n_points: int
-
-
-def _line_json(f: FitLine) -> dict:
-    return {
-        "slope": f.slope, "slope_se": f.slope_se, "intercept": f.intercept,
-        "r2": f.r_squared, "n": f.n_points,
-    }
+    r2: float
+    n: int  # records fitted
 
 
 @dataclass(frozen=True)
@@ -128,10 +123,10 @@ class PowerLawFit(FitLine):
     per_k: dict[int, FitLine] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "pooled": _line_json(self),
-            "per_k": {str(k): _line_json(f) for k, f in sorted(self.per_k.items())},
-        }
+        def line(fit: FitLine) -> dict:
+            return {f.name: getattr(fit, f.name) for f in fields(FitLine)}
+
+        return {"pooled": line(self), "per_k": {str(k): line(fit) for k, fit in sorted(self.per_k.items())}}
 
 
 class InsufficientDataError(ValueError):

@@ -11,7 +11,7 @@ only through eigensolver rounding of a zero lam_min (|lam_min| ~ 1e-13),
 so nothing overflows for beta up to MAX_BETA.  Shifting by the extreme
 exponent is what makes such a sum safe; a log-sum-exp would pay only if
 the log itself were the output, and here the sums are.
-The kernel is the only place that checks beta >= 0.  The one other sum is
+The kernel is the only place that checks 0 <= beta < inf.  The one other sum is
 beta_threshold's Newton step, which needs the rate's derivative; the
 kernel's own rate certifies the threshold it returns.  Purity is Z2/Z1^2;
 its inverse descends monotonically to the kernel dimension as beta grows,
@@ -58,8 +58,8 @@ class SpectralSums(NamedTuple):
 
 def spectral_sums(spec: Spectrum, beta: float) -> SpectralSums:
     """Z1, Z2, z_norm and the cooling rate at one inverse temperature."""
-    if beta < 0.0:
-        raise ValueError("beta must be >= 0")
+    if not 0.0 <= beta < math.inf:  # NaN fails it too
+        raise ValueError("beta must be >= 0 and finite")
     lam = spec.eigenvalues
     shifted = lam - lam[0]
     w = np.exp(-beta * shifted)

@@ -15,7 +15,7 @@ import thermaltda
 from thermaltda.cli import main
 from thermaltda.complexes import CORPUS, SimplicialComplex, build_clique_complex, load_point_cloud, random_complex
 from thermaltda.discriminant import annealing_path, pad_hamiltonian, pauli_jumps
-from thermaltda.homology import combinatorial_laplacian
+from thermaltda.homology import combinatorial_laplacian, laplacian_spectrum, spectral_gap
 
 
 @pytest.fixture
@@ -192,6 +192,26 @@ class TestBetti:
         result = invoke(runner, "betti", "--corpus", "hollow-triangle", "--k", 1, "--method", "thermal")
         data = json.loads(result.output)
         assert data["betti_floor"] == 1 and data["converged"]
+
+    @pytest.mark.parametrize(
+        "n,p,k,betti",
+        [(32, 0.5, 2, 19), (33, 0.55, 3, 5)],
+        ids=["594 levels", "815 levels"],
+    )
+    def test_default_beta_floors_to_the_kernel(self, runner, tmp_path, n, p, k, betti):
+        # 4x the cooling threshold (26.10 and 23.56 here) floors one above b while
+        # converged; ln(5m)/gap (216.2 and 122.0) floors to b
+        cx = random_complex(n, p, 4, 4)
+        path = tmp_path / "cx.json"
+        cx.save(path)
+        spec = laplacian_spectrum(cx, k)
+        data = json.loads(invoke(runner, "betti", "--input", path, "--k", k, "--method", "thermal").output)
+        assert data["beta"] == math.log(5 * spec.dim) / spectral_gap(spec)
+        assert data["betti_floor"] == betti and data["converged"]
+        if k == 2:
+            args = ("betti", "--input", path, "--k", k, "--method", "thermal", "--beta", 26.1)
+            data = json.loads(invoke(runner, *args).output)
+            assert data["beta"] == 26.1 and data["betti_floor"] == betti + 1
 
     def test_thermal_filled_triangle_trivial(self, runner):
         result = invoke(runner, "betti", "--corpus", "filled-triangle", "--k", 1, "--method", "thermal")

@@ -65,6 +65,9 @@ class TestFrequencyGrid:
             make_grid(1.0, 7)
         with pytest.raises(ValueError):
             make_grid(1.0, 2)
+        for norm_h in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="norm_h"):
+                make_grid(norm_h, 16)
 
 
 class TestGaussianWindow:
@@ -85,8 +88,9 @@ class TestGaussianWindow:
         assert win.weights[8] == pytest.approx(1.0, abs=1e-12)  # t = 0 entry
 
     def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(ValueError):
-            gaussian_window(make_grid(1.0, 8), 0.0)
+        for sigma in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                gaussian_window(make_grid(1.0, 8), sigma)
 
 
 class TestHeisenberg:
@@ -182,8 +186,9 @@ class TestMetropolisWeights:
             assert lhs == pytest.approx(rhs, rel=1e-14, abs=0.0)
 
     def test_negative_beta_rejected(self):
-        with pytest.raises(ValueError):
-            metropolis_weight(1.0, -0.5)
+        for beta in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="beta must be >= 0"):
+                metropolis_weight(1.0, beta)
 
 
 class TestPadHamiltonian:
@@ -211,14 +216,18 @@ class TestPadHamiltonian:
         # 33 to 64 levels pad to 64, a 4096-dim discriminant, and 65 to 128:
         # both over the cap of 1024 (32 levels)
         def fail(*args, **kwargs):
-            raise AssertionError("eigvalsh called before the cap check")
+            raise AssertionError("eigensolve called before the cap check")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         for m in (33, 64, 65):
             with pytest.raises(ValueError, match="cap"):
                 pad_hamiltonian(np.eye(m))
             with pytest.raises(ValueError, match="cap"):
                 register_qubits(m)
+        # a 33-level H is over the cap whatever its jumps
+        with pytest.raises(ValueError, match="cap"):
+            annealing_path(np.eye(33, dtype=complex), JumpSet(operators=[np.eye(33)]), 16, [0.0, 1.0])
 
 
 def kron_loop_discriminant(h, jumps, grid, window, beta, basis):
@@ -640,6 +649,23 @@ class TestAnnealing:
             else:
                 assert abs(step.overlap_prev - abs(np.vdot(prev, state.amplitudes)) ** 2) <= 1e-10
             prev = state.amplitudes
+
+    def test_solves_h_once(self, monkeypatch):
+        # the 26-edge input on the default schedule: one eigh of H serves the grid,
+        # every point's D and the fidelities; the other eighs are Lanczos tridiagonals
+        h = combinatorial_laplacian(random_complex(9, 0.55, 2, 8), 1).astype(complex)
+        solved = {"eigh": 0, "eigvalsh": 0}
+        for name in solved:
+            solve = getattr(np.linalg, name)
+
+            def spy(a, *args, _solve=solve, _name=name, **kwargs):
+                solved[_name] += _name == "eigvalsh" or (np.shape(a) == h.shape and np.array_equal(a, h))
+                return _solve(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        report = annealing_path(h, cut_pauli_jumps(len(h)), 32, [i / 5 for i in range(6)])
+        assert len(report.steps) == 6
+        assert solved == {"eigh": 1, "eigvalsh": 0}
 
     def test_bad_schedules(self):
         with pytest.raises(ValueError):

@@ -157,8 +157,8 @@ class TestFitPowerLaw:
         gaps = np.logspace(-2, 1, 40)
         fit = fit_power_law(synthetic_records(gaps, gaps**-0.7))
         assert fit.slope == pytest.approx(-0.7, abs=1e-12)
-        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-        assert fit.n_points == 40
+        assert fit.r2 == pytest.approx(1.0, abs=1e-12)
+        assert fit.n == 40
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -213,7 +213,7 @@ class TestFitPowerLaw:
         assert set(fit.per_k) <= {1, 2, 3}
         assert 1 in fit.per_k
         for sub in fit.per_k.values():
-            assert sub.n_points >= 10
+            assert sub.n >= 10
 
     def test_insufficient_points(self):
         gaps = np.array([1.0, 2.0])
@@ -243,7 +243,7 @@ class TestFitPowerLaw:
         fit = fit_power_law(spread + flat, group_by_k=True)
         assert set(fit.per_k) == {1}
         assert fit.per_k[1].slope == pytest.approx(-0.7, abs=1e-12)
-        assert fit.n_points == 24
+        assert fit.n == 24
 
     def test_nonpositive_values_rejected(self):
         gaps = np.linspace(0.0, 1.0, 12)

@@ -96,6 +96,10 @@ class TestSpectralSums:
             lambda: spectral_sums(HOLLOW, -1.0),
             lambda: purity(HOLLOW, -1.0),
             lambda: cooling_rate(HOLLOW, -1.0),
+            lambda: spectral_sums(HOLLOW, math.nan),
+            lambda: spectral_sums(HOLLOW, math.inf),
+            lambda: cooling_rate(HOLLOW, math.inf),
+            lambda: betti_thermal(HOLLOW, math.nan),
         ],
     )
     def test_negative_beta_rejected(self, view):
