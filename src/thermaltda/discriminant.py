@@ -17,11 +17,11 @@ eigenvector is the canonical purification exactly.
 
 Basis: D is held in H's eigenbasis V, where each jump's frequency component
 factors (see build_discriminant): it is K^dagger D_c K, for the discriminant
-D_c in the computational basis and K = kron(V, conj V), and only its top
-eigenvector X~ is rotated out, to V X~ V^dagger.  annealing_path solves H once per
-path: one eigh gives the grid's coverage, the jumps rotated into V, every point's D
-and both fidelity readings; it rotates X~ out only for its fidelities and reads the
-rest of its report in H's eigenbasis.
+D_c in the computational basis and K = kron(V, conj V).  The purification is
+diagonal in V, so fidelities are read off the top eigenvector X~'s diagonal, and
+only top_eigenvector's returned state is rotated out, to V X~ V^dagger.
+annealing_path solves H once per path, one eigh for the grid's coverage, the jumps
+rotated into V, every point's D and both fidelities, and never rotates X~ out.
 
 Real form: S swaps the two copies, p = i*dim + k -> k*dim + i.  Swapping the
 factors of a coherent term, a real rate times A (x) conj(A), or of the decay
@@ -48,11 +48,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .swaptest import StateVector, sqrt_gibbs
+from .swaptest import StateVector, _gibbs_amplitudes, sqrt_gibbs
 
 # D is m^2 x m^2 for m levels: at m = 32 (1024^2, 17 MB) a default discriminant-check
 # (6 steps, grid 32) takes 0.25-0.27 s at a 60 MB peak RSS on a 2-core VM, and at
@@ -208,10 +207,10 @@ class DiscriminantModel:
     h_eigenvalues: np.ndarray  # eigensystem of the Hamiltonian, reused downstream
     h_eigenvectors: np.ndarray
 
-    @cached_property
+    @property
     def hermiticity_defect(self) -> float:
-        """max |D - D^dagger|, taken on first read: the annealing path never reads it."""
-        return _hermiticity_defect(self.d_matrix)
+        """max |D - D^dagger|."""
+        return float(np.abs(self.d_matrix - self.d_matrix.conj().T).max())
 
 
 def _check_doubled_dim(dim: int) -> None:
@@ -282,7 +281,8 @@ def build_discriminant(
 
     For each jump and frequency, the coherent term couples the two copies
     through A(omega) x conj(A(omega)) at the symmetrized rate
-    sqrt(gamma(omega) gamma(-omega)), and the decay term subtracts half the
+    sqrt(gamma(omega) gamma(-omega)) = e^{-beta |omega| / 2} (one of the two
+    rates is 1), and the decay term subtracts half the
     rate-weighted normalizations on each side.  The lone unpaired grid
     frequency (-M omega0 / 2, whose mirror aliases onto itself) also uses
     the symmetrized rate in its decay term; with the bare rate that single
@@ -309,8 +309,7 @@ def _discriminant(
     rotated into its eigenvectors, in_basis[a] = V^dagger A_a V."""
     dim = len(evals)
     gammas = metropolis_weights(grid, beta)
-    gammas_neg = np.array([metropolis_weight(-w, beta) for w in grid.omegas])
-    sym_rates = np.sqrt(gammas * gammas_neg)
+    sym_rates = np.exp(-0.5 * beta * np.abs(grid.omegas))
     decay_rates = gammas.copy()
     decay_rates[0] = sym_rates[0]
     # 1/M (the 1/sqrt M of A and of conj A) and D's 1/J ride on the rates
@@ -344,28 +343,20 @@ def _discriminant(
     return d_tilde
 
 
-def _hermiticity_defect(d_matrix: np.ndarray) -> float:
-    """max |D - D^dagger| over the 64-row strips of the upper triangle, each
-    against its strip of columns: the entry at (q, p) is the one at (p, q)
-    conjugated and negated, the same modulus.  A strip's transpose stays in
-    cache; D's does not."""
-    n = len(d_matrix)
-    return max(
-        float(np.abs(d_matrix[i : i + 64, i:] - d_matrix[i:, i : i + 64].conj().T).max())
-        for i in range(0, n, 64)
-    )
-
-
 def canonical_purification_vector(hamiltonian: np.ndarray, beta: float) -> np.ndarray:
     """Normalized doubled-register vector with amplitudes e^{-beta E_i/2} on
     paired eigenvectors; its reduced state is the thermal state at beta."""
     return sqrt_gibbs(*np.linalg.eigh(hamiltonian), beta).reshape(-1)
 
 
-def _fidelity(vec: np.ndarray, evals: np.ndarray, evecs: np.ndarray, beta: float) -> float:
-    """Squared overlap of vec with the purification at beta of the H of this eigensystem."""
-    target = sqrt_gibbs(evals, evecs, beta).reshape(-1)
-    return float(abs(np.vdot(vec, target)) ** 2)
+def _fidelity(vec: np.ndarray, evals: np.ndarray, beta: float) -> float:
+    """Squared overlap of X~ (vec, in H's eigenbasis) with the purification at beta.
+
+    In that basis the purification has the amplitudes w_i on |i>|i> alone, so only
+    X~'s diagonal enters, |sum_i conj(X~_ii) w_i|^2: V is unitary, so this is the
+    overlap of V X~ V^dagger with the purification in the computational basis.
+    """
+    return float(abs(np.vdot(vec[:: len(evals) + 1], _gibbs_amplitudes(evals, beta))) ** 2)
 
 
 def _top_eigenpair(d_matrix: np.ndarray, *, start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
@@ -427,10 +418,8 @@ def top_eigenvector(model: DiscriminantModel) -> tuple[float, StateVector, float
     dim = len(model.hamiltonian)
     val, vec = _top_eigenpair(model.d_matrix)
     evecs = model.h_eigenvectors
-    x = evecs @ vec.reshape(dim, dim) @ evecs.conj().T
-    fid = _fidelity(x.reshape(-1), model.h_eigenvalues, evecs, model.beta)
-    x = np.pad(x, (0, (1 << (dim - 1).bit_length()) - dim))
-    return 1.0 + val, StateVector(x.reshape(-1)), fid
+    x = np.pad(evecs @ vec.reshape(dim, dim) @ evecs.conj().T, (0, (1 << (dim - 1).bit_length()) - dim))
+    return 1.0 + val, StateVector(x.reshape(-1)), _fidelity(vec, model.h_eigenvalues, model.beta)
 
 
 @dataclass(frozen=True)
@@ -468,7 +457,8 @@ def annealing_path(
 
     H, and so its eigenbasis V, is the same at every point, so the path solves H once
     and stays in V: the grid's coverage, every point's D and both fidelity readings
-    come from that one eigensystem, and the jumps are rotated into V once.  Each
+    come from that one eigensystem, and the jumps are rotated into V once.  X~ is never
+    rotated out: the fidelities are read off its diagonal (see _fidelity).  Each
     Lanczos run starts from the previous point's eigenvector X~, and consecutive
     overlaps are |<X~_prev, X~>|^2, those of X = V X~ V^dagger as V is unitary.  On the
     default 6-point schedule of the octahedron's 12 edge levels at grid 32 the six
@@ -477,8 +467,7 @@ def annealing_path(
     betas = [float(b) for b in betas]
     if not betas or betas[0] != 0.0 or any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("schedule must start at 0 and strictly increase")
-    dim = len(hamiltonian)
-    evals, evecs, in_basis = _eigensystem(hamiltonian, jumps)
+    evals, _, in_basis = _eigensystem(hamiltonian, jumps)
     grid = make_grid(BOHR_MARGIN * float(evals[-1] - evals[0]), m_points)
     steps: list[AnnealingStep] = []
     prev = None
@@ -486,14 +475,13 @@ def annealing_path(
         window = gaussian_window(grid, default_sigma_t(beta, grid))
         # D lives only through the solve, so no two points' D are held at once
         val, vec = _top_eigenpair(_discriminant(evals, in_basis, grid, window, beta), start=prev)
-        x = (evecs @ vec.reshape(dim, dim) @ evecs.conj().T).reshape(-1)
         steps.append(
             AnnealingStep(
                 beta=beta,
                 sigma_t=window.sigma_t,
                 top_eigenvalue=1.0 + val,
-                fidelity=_fidelity(x, evals, evecs, beta),
-                fidelity_half_beta=_fidelity(x, evals, evecs, beta / 2.0),
+                fidelity=_fidelity(vec, evals, beta),
+                fidelity_half_beta=_fidelity(vec, evals, beta / 2.0),
                 overlap_prev=None if prev is None else float(abs(np.vdot(prev, vec)) ** 2),
             )
         )

@@ -49,16 +49,21 @@ class StateVector:
         return self.amplitudes.size.bit_length() - 1
 
 
+def _gibbs_amplitudes(evals: np.ndarray, beta: float) -> np.ndarray:
+    """w_i = exp(-beta (E_i - E_0) / 2), normalized: the canonical purification's
+    amplitudes on the paired eigenvectors, for sqrt_gibbs and the discriminant's
+    fidelities, which read them in H's eigenbasis."""
+    weights = np.exp(-0.5 * beta * (evals - evals[0]))
+    return weights / np.linalg.norm(weights)
+
+
 def sqrt_gibbs(evals: np.ndarray, evecs: np.ndarray, beta: float) -> np.ndarray:
     """Square root of the Gibbs state, sum_i w_i psi_i psi_i^dagger.
 
-    w_i = exp(-beta (E_i - E_0) / 2), normalized.  Read row-major, entry
-    (a, b) is the amplitude of |a>|b> in the canonical purification; the
-    swap test and the discriminant laboratory both build it here.
+    w_i are the amplitudes of _gibbs_amplitudes.  Read row-major, entry
+    (a, b) is the amplitude of |a>|b> in the canonical purification.
     """
-    weights = np.exp(-0.5 * beta * (evals - evals[0]))
-    weights /= np.linalg.norm(weights)
-    return (evecs * weights) @ evecs.conj().T
+    return (evecs * _gibbs_amplitudes(evals, beta)) @ evecs.conj().T
 
 
 def purification_state(spec: Spectrum, beta: float) -> StateVector:

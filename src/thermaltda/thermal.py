@@ -74,6 +74,11 @@ def _check_dim(spec: Spectrum, m: int) -> None:
         raise ValueError("m must equal the spectrum dimension")
 
 
+def _check_criterion(criterion: float) -> None:
+    if not 0.0 < criterion < math.inf:  # NaN fails it too
+        raise ValueError("criterion must be positive and finite")
+
+
 def purity(spec: Spectrum, beta: float) -> float:
     """Tr{rho_beta^2} = Z(2 beta)/Z(beta)^2; lies in [1/m, 1]."""
     return betti_thermal(spec, beta).purity
@@ -145,9 +150,10 @@ def beta_threshold(
     kernel: tau is scaled by 1 + 1e-9, then stepped up from one ulp, doubling
     the step, until ``cooling_rate`` is at or below criterion.  An iterate
     above MAX_BETA, or no convergence in MAX_NEWTON_STEPS, raises
-    ArithmeticError.
+    ArithmeticError.  A criterion that is not positive and finite raises ValueError.
     """
     _check_dim(spec, m)
+    _check_criterion(criterion)
     spectral_gap(spec)  # raises ZeroSpectrumError: no positive level, no threshold
     if cooling_rate(spec, 0.0) <= criterion:
         return 0.0
@@ -200,8 +206,13 @@ def betti_thermal(
 
     The floor is ``floor_of_inverse`` of the purity.  When the normalized
     partition function signals an empty kernel, the floor is overridden to
-    0 and the raw inverse purity retained.
+    0 and the raw inverse purity retained.  A guard outside [0, 1/2) or a
+    criterion that is not positive and finite raises ValueError: a guard of 1/2
+    or more floors an inverse purity half a level above b to b + 1.
     """
+    if not 0.0 <= guard < 0.5:  # NaN fails it too
+        raise ValueError("guard must lie in [0, 0.5)")
+    _check_criterion(criterion)
     z1, z2, z_norm, rate = spectral_sums(spec, beta)
     m = spec.dim
     pur = z2 / (z1 * z1)

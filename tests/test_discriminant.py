@@ -320,8 +320,24 @@ class TestTopEigenvector:
         assert top_val == 1.0 + val and state.n_qubits == 4
         np.testing.assert_array_equal(amps[:3, :3], x)
         assert not amps[3].any() and not amps[:, 3].any()
+        # the eigenbasis formula exactly, and the computational-basis overlap to rounding
+        weights = np.exp(-0.5 * (model.h_eigenvalues - model.h_eigenvalues[0]))
+        assert fid == abs(np.vdot(vec[::4], weights / np.linalg.norm(weights))) ** 2
         target = sqrt_gibbs(model.h_eigenvalues, v, 1.0).reshape(-1)
-        assert fid == abs(np.vdot(x.reshape(-1), target)) ** 2
+        assert abs(fid - abs(np.vdot(x.reshape(-1), target)) ** 2) <= 1e-14
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("beta", [0.0, 0.7, 3.0])
+    def test_fidelity_is_the_computational_basis_overlap(self, dim, beta):
+        # read off X~'s diagonal in H's eigenbasis, it is the overlap of V X~ V^dagger
+        # with the purification built in the computational basis
+        rng = np.random.default_rng(dim)
+        evals, v = np.linalg.eigh(random_hermitian(rng, dim))
+        x_tilde = random_hermitian(rng, dim)
+        x_tilde /= np.linalg.norm(x_tilde)
+        rotated = v @ x_tilde @ v.conj().T
+        expected = abs(np.vdot(rotated, sqrt_gibbs(evals, v, beta))) ** 2
+        assert abs(discriminant._fidelity(x_tilde.reshape(-1), evals, beta) - expected) <= 1e-14
 
     def test_single_qubit_default_window_high_fidelity(self):
         jumps = pauli_jumps(1)
@@ -582,7 +598,7 @@ class TestFactorisedBuild:
         assert model.d_matrix.shape == (1024, 1024)
         expected = fourier_gram_discriminant(h, jumps, grid, win, 1.0, model.h_eigenvectors)
         assert np.abs(model.d_matrix - expected).max() <= 1e-12
-        # the strip-wise defect is the same float as the whole matrix's
+        # the defect is the largest entry of |D - D^dagger|, as a Python float
         assert model.hermiticity_defect == np.abs(model.d_matrix - model.d_matrix.conj().T).max()
 
 
@@ -666,6 +682,22 @@ class TestAnnealing:
         report = annealing_path(h, cut_pauli_jumps(len(h)), 32, [i / 5 for i in range(6)])
         assert len(report.steps) == 6
         assert solved == {"eigh": 1, "eigvalsh": 0}
+
+    def test_builds_no_purification(self, monkeypatch):
+        # the 26-edge input on the default schedule: both fidelities of every point are
+        # read off X~'s diagonal, so no m x m purification is built
+        h = combinatorial_laplacian(random_complex(9, 0.55, 2, 8), 1).astype(complex)
+        calls = []
+        build = discriminant.sqrt_gibbs
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(discriminant, "sqrt_gibbs", spy)
+        report = annealing_path(h, cut_pauli_jumps(len(h)), 32, [i / 5 for i in range(6)])
+        assert len(report.steps) == 6
+        assert calls == []
 
     def test_bad_schedules(self):
         with pytest.raises(ValueError):

@@ -242,6 +242,19 @@ class TestBettiSwap:
         with pytest.raises(ValueError, match="beta must be >= 0"):
             betti_swap(spec, -1.0, shots=1000, seed=0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"guard": 2.0}, "guard must lie in"),
+        ({"guard": -0.5}, "guard must lie in"),
+        ({"guard": math.nan}, "guard must lie in"),
+        ({"guard": math.inf}, "guard must lie in"),
+        ({"criterion": math.nan}, "criterion must be positive"),
+        ({"criterion": 0.0}, "criterion must be positive"),
+    ])
+    def test_bad_guard_or_criterion_rejected(self, corpus, kwargs, message):
+        spec = spectrum(combinatorial_laplacian(corpus["hollow-triangle"], 1))
+        with pytest.raises(ValueError, match=message):
+            betti_swap(spec, 20.0, shots=1000, seed=0, **kwargs)
+
     def test_single_shot_is_unstable(self):
         spec = bare_spectrum([0.0, 1.0])
         est = betti_swap(spec, beta=1.0, shots=1, seed=2)

@@ -266,6 +266,19 @@ class TestBettiThermal:
         with pytest.raises(ValueError):
             betti_thermal(HOLLOW, -1.0)
 
+    # at beta = 20, guard 2 floored to 3 and -0.5 to 0, both as converged; the
+    # range is the CLI's [0, 1/2), and NaN fails it too
+    @pytest.mark.parametrize("guard", [2.0, -0.5, 0.5, math.nan, math.inf])
+    def test_bad_guard_rejected(self, guard):
+        with pytest.raises(ValueError, match="guard must lie in"):
+            betti_thermal(HOLLOW, 20.0, guard=guard)
+
+    # a NaN criterion read as converged: False
+    @pytest.mark.parametrize("criterion", [math.nan, 0.0, -1.0, math.inf])
+    def test_bad_criterion_rejected(self, criterion):
+        with pytest.raises(ValueError, match="criterion must be positive"):
+            betti_thermal(HOLLOW, 2.0, criterion=criterion)
+
     def test_monotone_inverse_purity(self):
         grids = np.linspace(0.0, 30.0, 100)
         for spec in random_spectra(100, seed=7):
@@ -319,6 +332,12 @@ class TestBetaThreshold:
     def test_newton_root_to_rounding(self, spec, root):
         """The answer is the closed-form root scaled by the 1 + 1e-9 slack."""
         assert beta_threshold(spec, 3) == pytest.approx(root * (1.0 + 1e-9), rel=1e-12)
+
+    # NaN ran all Newton steps to ArithmeticError, 0 and -1 failed in math.log
+    @pytest.mark.parametrize("criterion", [math.nan, 0.0, -1.0, math.inf])
+    def test_bad_criterion_rejected(self, criterion):
+        with pytest.raises(ValueError, match="criterion must be positive"):
+            beta_threshold(HOLLOW, 3, criterion=criterion)
 
     def test_root_above_max_beta_raises(self):
         # rate (1/2) 1e-11 exp(-1e-11 tau) meets 1e-24 at tau = ln(5e12)/1e-11, about 2.9e12
@@ -435,6 +454,13 @@ class TestSweep:
     def test_non_increasing_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep(HOLLOW, [1.0, 1.0])
+
+    @pytest.mark.parametrize("spec", [HOLLOW, spec_of([0.0, 0.0])])
+    @pytest.mark.parametrize("criterion", [math.nan, 0.0, -1.0, math.inf])
+    def test_bad_criterion_rejected(self, spec, criterion):
+        # an all-zero spectrum has no threshold, but the criterion is still checked
+        with pytest.raises(ValueError, match="criterion must be positive"):
+            sweep(spec, [1.0, 2.0], criterion=criterion)
 
     def test_csv_format(self, tmp_path):
         result = sweep(HOLLOW, [0.5, 1.0, 2.0])
