@@ -14,7 +14,8 @@ laboratory, is the sum of the two Grams.
 Betti numbers come from two independent routes that must agree: the kernel
 dimension of the Laplacian spectrum, under a float tolerance, and the
 rank-nullity count, whose ranks are exact: a column reduction of the face
-tables mod the prime 2^31 - 1, with clearing.  A rank mod p can only fall
+tables mod the prime 2^31 - 1, read as the coboundaries delta^0, ...,
+delta^k, with clearing from each to the next.  A rank mod p can only fall
 below the rational rank, so p-torsion would show as a disagreement.
 
 One function asks each boundary for its levels and picks the backend by
@@ -382,29 +383,39 @@ class HomologyRanks:
 
 
 def _pivot_rows(faces: np.ndarray, skip=frozenset()) -> set[int]:
-    """Pivot rows of the left-to-right reduction mod PRIME of the boundary with face table ``faces``.
+    """Pivot rows of the reduction mod PRIME of the coboundary delta^j, read
+    off ``faces`` = ``face_table(j + 1)``.
 
-    A column's pivot is its lowest nonzero row.  Each reduced column is kept
-    scaled to a unit pivot, so eliminating it takes the entry itself as the
-    factor.  The number of pivots is the rank; the columns in ``skip`` are
-    passed over, which leaves it unchanged when each of them depends on
-    earlier columns.
+    Column t of delta^j is the j-simplex t.  Its entries are its cofaces, the
+    (j+1)-simplices with t on their row of ``faces``, each with the boundary
+    sign of that face-table column.  Columns are reduced from last to first,
+    and a column's pivot is its first nonzero row, its first coface, so a
+    reduced column's support lies at or above its pivot.  Each reduced column
+    is kept with the inverse of its pivot, which scales the factor that
+    eliminates it.  The number of pivots is the rank of delta^j, that of
+    d_{j+1}; the columns in ``skip`` are passed over, which leaves it
+    unchanged when each of them depends on later columns.  PRIME is read at
+    each call.
     """
     p, k = PRIME, faces.shape[1] - 1
-    signs = [(-1) ** (k - c) % p for c in range(k + 1)]
-    reduced: dict[int, dict[int, int]] = {}  # pivot row -> unit-pivot column
-    for j, rows in enumerate(faces.tolist()):
-        if j in skip:
+    signs = [sign % p for sign in _signs(k).tolist()]
+    columns: dict[int, dict[int, int]] = {}  # j-simplex -> {coface: sign}, cofaces ascending
+    for s, row in enumerate(faces.tolist()):
+        for t, v in zip(row, signs):
+            columns.setdefault(t, {})[s] = v
+    reduced: dict[int, tuple[int, dict[int, int]]] = {}  # pivot row -> (inverse of the pivot, column)
+    for t in sorted(columns, reverse=True):
+        if t in skip:
             continue
-        col = dict(zip(rows, signs))
+        col = columns[t]
         while col:
-            low = max(col)
-            pivot_col = reduced.get(low)
-            if pivot_col is None:
-                inv = pow(col[low], p - 2, p)
-                reduced[low] = {i: v * inv % p for i, v in col.items()}
+            low = min(col)
+            pivot = reduced.get(low)
+            if pivot is None:
+                reduced[low] = (pow(col[low], p - 2, p), col)
                 break
-            factor = col[low]
+            inv, pivot_col = pivot
+            factor = col[low] * inv % p
             for i, v in pivot_col.items():
                 w = (col.get(i, 0) - factor * v) % p
                 if w:
@@ -418,16 +429,23 @@ def betti_exact_rank(cx: SimplicialComplex, k: int) -> HomologyRanks:
     """Betti number from exact boundary ranks mod PRIME, reduced straight off
     the face tables; independent of the spectrum route.
 
-    The (k+1)-boundary is reduced first.  A reduced cycle with pivot row i
-    shows that column i of the k-boundary depends on earlier columns, so
-    those columns are cleared (skipped) when the k-boundary is reduced.
+    The coboundaries delta^0, delta^1, ..., delta^k are reduced in turn, and
+    rank delta^j = rank d_{j+1}.  Clearing runs upward: a reduced column of
+    delta^{j-1} with pivot row r is a coboundary, hence a cocycle, with
+    support at or above r, so column r of delta^j depends on later columns,
+    which are reduced before it; the pivot rows of delta^{j-1} are skipped
+    (cleared) when delta^j is reduced.  Only b_j of delta^j's columns then
+    reduce to zero.
     """
     m = cx.num_simplices(k)
     if m == 0:
         raise EmptySimplexSetError(f"no {k}-simplices at this scale")
-    cleared = _pivot_rows(cx.face_table(k + 1))
-    rank_dk = len(_pivot_rows(cx.face_table(k), skip=cleared)) if k >= 1 else 0
-    return HomologyRanks(dim_ker_dk=m - rank_dk, rank_dk1=len(cleared))
+    ranks, cleared = [], set()
+    for j in range(k + 1):
+        cleared = _pivot_rows(cx.face_table(j + 1), skip=cleared)
+        ranks.append(len(cleared))
+    rank_dk = ranks[k - 1] if k >= 1 else 0
+    return HomologyRanks(dim_ker_dk=m - rank_dk, rank_dk1=ranks[k])
 
 
 def spectral_gap(spec: Spectrum) -> float:
